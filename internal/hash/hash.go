@@ -52,6 +52,9 @@ func TagWithHighBits(f Func, block uint64) uint64 {
 type XOR struct {
 	h   gf2.Matrix
 	tag gf2.Matrix // n×(n−m) bit-selecting tag function
+	// indexMap and tagMap are h and tag compiled into byte tables, so the
+	// cache simulator's per-access Index and Tag cost ⌈n/8⌉ lookups.
+	indexMap, tagMap gf2.LinearMap
 }
 
 // NewXOR builds an XOR hash function from a full-column-rank matrix H.
@@ -67,7 +70,7 @@ func NewXOR(h gf2.Matrix) (*XOR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &XOR{h: h, tag: tag}, nil
+	return &XOR{h: h, tag: tag, indexMap: gf2.NewMatrixMap(h), tagMap: gf2.NewMatrixMap(tag)}, nil
 }
 
 // MustXOR is NewXOR for matrices known valid by construction (e.g. the
@@ -110,12 +113,12 @@ func completeTag(h gf2.Matrix) (gf2.Matrix, error) {
 
 // Index implements Func.
 func (f *XOR) Index(block uint64) uint64 {
-	return uint64(f.h.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
+	return f.indexMap.Apply(gf2.Vec(block))
 }
 
 // Tag implements Func.
 func (f *XOR) Tag(block uint64) uint64 {
-	return uint64(f.tag.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
+	return f.tagMap.Apply(gf2.Vec(block))
 }
 
 // AddrBits implements Func.

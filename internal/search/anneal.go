@@ -67,6 +67,7 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 	// the walk lingers or returns: a resampled (hyperplane, vector)
 	// proposal costs two array reads instead of a 2^d walk.
 	ev := newNullEvaluator(p)
+	var lm gf2.LinearMap // scratch for coset-table builds
 	hps := cur.Hyperplanes(nil)
 	for step := 0; step < opt.Steps; step++ {
 		if step&(ctxCheckEvery-1) == 0 {
@@ -99,7 +100,7 @@ func AnnealCtx(ctx context.Context, p *profile.Profile, m int, opt AnnealOptions
 		if cand.Dim() != d {
 			continue
 		}
-		candEst := ev.estimateExtend(ev.table(hp), v)
+		candEst := ev.estimateExtend(ev.table(hp, &lm), v)
 		res.Evaluated++
 		delta := float64(candEst) - float64(curEst)
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {

@@ -56,8 +56,9 @@ type nullEvaluator struct {
 
 	// lookups counts histogram-read work units: support entries swept
 	// per table build, 2^k entries per Gray walk, and two array reads
-	// per table-served candidate. The one-time support extraction is
-	// excluded (it is a fixed scan shared by every climb).
+	// per estimateExtend score. The climb's scanHyperplane books its
+	// own candidate reads in the Result. The one-time support
+	// extraction is excluded (it is a fixed scan shared by every climb).
 	lookups atomic.Uint64
 	hits    atomic.Uint64 // memoized hyperplane tables reused
 }
@@ -67,10 +68,11 @@ func newNullEvaluator(p *profile.Profile) *nullEvaluator {
 }
 
 // table returns the coset-sum table of hyperplane w, building it on
-// first use. Concurrent callers ask for distinct hyperplanes within one
-// move (they partition the neighbourhood), so a build is never raced;
-// the re-check on insert keeps the memo consistent regardless.
-func (e *nullEvaluator) table(w gf2.Subspace) *hpTable {
+// first use with lm as the caller's scratch map. Concurrent callers
+// ask for distinct hyperplanes within one move (they partition the
+// neighbourhood), so a build is never raced; the re-check on insert
+// keeps the memo consistent regardless.
+func (e *nullEvaluator) table(w gf2.Subspace, lm *gf2.LinearMap) *hpTable {
 	k := w.Key()
 	e.mu.Lock()
 	if tb, ok := e.tables[k]; ok {
@@ -79,7 +81,7 @@ func (e *nullEvaluator) table(w gf2.Subspace) *hpTable {
 		return tb
 	}
 	e.mu.Unlock()
-	tb := e.build(w)
+	tb := e.build(w, lm)
 	e.mu.Lock()
 	if old, ok := e.tables[k]; ok {
 		tb = old
@@ -94,34 +96,25 @@ func (e *nullEvaluator) table(w gf2.Subspace) *hpTable {
 // build sweeps the histogram support once, accumulating each entry into
 // the coset of span(w.Basis) it lies in: the RREF residue of a vector
 // is supported on w's free positions and identifies its coset.
-func (e *nullEvaluator) build(w gf2.Subspace) *hpTable {
+func (e *nullEvaluator) build(w gf2.Subspace, lm *gf2.LinearMap) *hpTable {
 	tb := &hpTable{basis: w.Basis, free: gf2.FreePositions(w.N, w.Basis)}
 	if len(tb.free) > maxTableBits {
 		tb.sw = e.p.EstimateBasis(tb.basis)
 		e.lookups.Add(uint64(1) << uint(len(tb.basis)))
 		return tb
 	}
+	// The coset index GatherBits(Reduce(v, basis), free) is linear in
+	// v: compiled into byte tables it costs ⌈n/8⌉ lookups per support
+	// entry. The map is recompiled per build in the caller's scratch
+	// rather than memoized, so the memo holds only the sums.
+	lm.SetCoset(w.N, tb.basis, tb.free)
 	tb.sums = make([]uint64, uint64(1)<<uint(len(tb.free)))
 	for _, vc := range e.support {
-		r := gf2.Reduce(vc.Vec, tb.basis)
-		tb.sums[gf2.GatherBits(r, tb.free)] += vc.Count
+		tb.sums[lm.Apply(vc.Vec)] += vc.Count
 	}
 	e.lookups.Add(uint64(len(e.support)))
 	tb.sw = tb.sums[0]
 	return tb
-}
-
-// estimateAt scores the neighbour span(W, rep) where rep is the
-// canonical representative scattered from enumeration index x onto W's
-// free positions — rep's packed residue is x itself, so the estimate is
-// two array reads.
-func (e *nullEvaluator) estimateAt(tb *hpTable, x uint64, rep gf2.Vec) uint64 {
-	if tb.sums != nil {
-		e.lookups.Add(2)
-		return tb.sw + tb.sums[x]
-	}
-	e.lookups.Add(uint64(1) << uint(len(tb.basis)))
-	return tb.sw + e.p.EstimateDelta(tb.basis, rep)
 }
 
 // estimateExtend scores span(W, v) for an arbitrary v ∉ span(W): the

@@ -106,7 +106,7 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 				break
 			}
 		}
-		tb := ev.table(w)
+		tb := ev.table(w, new(gf2.LinearMap))
 		if tb.sw != p.EstimateBasis(w.Basis) {
 			t.Fatalf("trial %d: S(W) = %d, want %d", trial, tb.sw, p.EstimateBasis(w.Basis))
 		}
@@ -114,8 +114,8 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 		for x := uint64(1); x < uint64(1)<<uint(len(tb.free)); x++ {
 			rep := gf2.ScatterBits(x, tb.free)
 			basis[k] = rep
-			if got, want := ev.estimateAt(tb, x, rep), p.EstimateBasis(basis); got != want {
-				t.Fatalf("trial %d x=%d: estimateAt = %d, EstimateBasis = %d", trial, x, got, want)
+			if got, want := tb.sw+tb.sums[x], p.EstimateBasis(basis); got != want {
+				t.Fatalf("trial %d x=%d: table score = %d, EstimateBasis = %d", trial, x, got, want)
 			}
 			if got := ev.estimateExtend(tb, rep); got != p.EstimateBasis(basis) {
 				t.Fatalf("trial %d x=%d: estimateExtend mismatch", trial, x)
@@ -192,5 +192,97 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsideCosetMatchesContains pins the membership shortcut of the
+// neighbourhood scan: for every hyperplane w of a random subspace cur
+// and every canonical representative x, x == skip exactly when the
+// scattered representative lies in cur.
+func TestInsideCosetMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(19) // 2..20
+		d := 1 + rng.Intn(n-1)
+		if d > 7 {
+			d = 7 // 2^d - 1 hyperplanes, each with up to 2^(n-d+1) representatives
+		}
+		var cur gf2.Subspace
+		for {
+			vecs := make([]gf2.Vec, d)
+			for i := range vecs {
+				vecs[i] = gf2.Vec(rng.Uint64()) & gf2.Mask(n)
+			}
+			if cur = gf2.Span(n, vecs...); cur.Dim() == d {
+				break
+			}
+		}
+		for _, w := range cur.Hyperplanes(nil) {
+			free := gf2.FreePositions(n, w.Basis)
+			skip := insideCoset(cur, w, free)
+			if skip == 0 {
+				t.Fatalf("n=%d d=%d: hyperplane has no coset inside cur", n, d)
+			}
+			for x := uint64(1); x < uint64(1)<<uint(len(free)); x++ {
+				if in := cur.Contains(gf2.ScatterBits(x, free)); in != (x == skip) {
+					t.Fatalf("n=%d d=%d x=%d skip=%d: Contains = %v", n, d, x, skip, in)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkersAndEvaluatorsAgree runs the null-space climb sequentially
+// and on two workers, each with the coset-table evaluator and with
+// brute-force walks, on fixed profiles. All four must take the same
+// trajectory; for a given evaluator the work accounting (Lookups,
+// MemoHits) must not depend on the worker count either.
+func TestWorkersAndEvaluatorsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randTrace := make([]uint64, 3000)
+	for i := range randTrace {
+		randTrace[i] = uint64(rng.Intn(1 << 12))
+	}
+	profiles := []struct {
+		name string
+		p    *profile.Profile
+		m    int
+	}{
+		{"stride64", profile.Build(strideTrace(64, 32, 10), 12, 64), 6},
+		{"random", profile.Build(randTrace, 12, 32), 5},
+	}
+	for _, pc := range profiles {
+		var ref Result
+		for i, v := range []struct {
+			name string
+			opt  Options
+		}{
+			{"incremental/1", Options{Workers: 1, Restarts: 2, Seed: 3}},
+			{"incremental/2", Options{Workers: 2, Restarts: 2, Seed: 3}},
+			{"brute/1", Options{Workers: 1, Restarts: 2, Seed: 3, NoIncremental: true}},
+			{"brute/2", Options{Workers: 2, Restarts: 2, Seed: 3, NoIncremental: true}},
+		} {
+			v.opt.Family = hash.FamilyGeneralXOR
+			res, err := Construct(pc.p, pc.m, v.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				ref = res
+				continue
+			}
+			if !res.Matrix.Equal(ref.Matrix) || res.Estimated != ref.Estimated ||
+				res.Evaluated != ref.Evaluated || res.Iterations != ref.Iterations {
+				t.Errorf("%s/%s: result differs from incremental/1: %+v vs %+v", pc.name, v.name, res, ref)
+			}
+			if i == 2 {
+				ref = res // brute/2 is compared against brute/1
+				continue
+			}
+			if res.Lookups != ref.Lookups || res.MemoHits != ref.MemoHits {
+				t.Errorf("%s/%s: accounting differs: lookups %d vs %d, memo hits %d vs %d",
+					pc.name, v.name, res.Lookups, ref.Lookups, res.MemoHits, ref.MemoHits)
+			}
+		}
 	}
 }

@@ -12,13 +12,14 @@ import (
 )
 
 // The null-space neighbourhood at n=16, d=8 holds ~130 K candidates per
-// hill-climbing step, each scored by an independent read-only Gray-code
-// walk over the profile table — embarrassingly parallel. With
-// Options.Workers > 1 the hyperplanes are fanned out across goroutines.
-// Results are bit-for-bit identical to the sequential search: every
-// candidate carries its (hyperplane, representative) enumeration rank
-// and the merge picks the minimum (estimate, rank), which is exactly
-// the candidate the sequential first-strictly-better rule selects.
+// hill-climbing step, each scored independently and read-only (a
+// coset-table read, or a Gray-code walk over the profile table) —
+// embarrassingly parallel. With Options.Workers > 1 the hyperplanes
+// are fanned out across goroutines. Results are bit-for-bit identical
+// to the sequential search: every candidate carries its (hyperplane,
+// representative) enumeration rank and the merge picks the minimum
+// (estimate, rank), which is exactly the candidate the sequential
+// first-strictly-better rule selects.
 
 // candidate identifies one neighbor and its score.
 type candidate struct {
@@ -46,7 +47,8 @@ func (c candidate) better(o candidate) bool {
 }
 
 // bestNeighborParallel scores every neighbor of cur across workers and
-// returns the best candidate strictly below curEst, if any.
+// returns the best candidate strictly below curEst, if any, with the
+// candidate evaluations and histogram reads spent (also on error).
 // Cancellation is errgroup-style: every worker polls a context derived
 // from the search's; the first worker to observe cancellation cancels
 // the derived context so its siblings stop at their next poll, the
@@ -60,8 +62,6 @@ func (s *state) bestNeighborParallel(cur gf2.Subspace, curEst uint64, hps []gf2.
 	}
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	n := s.n
-	d := n - s.m
 	results := make([]candidate, workers)
 	counts := make([]int, workers)
 	lookups := make([]uint64, workers)
@@ -80,67 +80,40 @@ func (s *state) bestNeighborParallel(cur gf2.Subspace, curEst uint64, hps []gf2.
 					cancel()
 				}
 			}()
-			basisBuf := make([]gf2.Vec, d)
+			poll := func() error { return xerr.Check(ctx) }
+			buf := newScanBuf(cur.Dim())
 			best := candidate{est: curEst}
-			evaluated := 0
 			for hpIdx := w; hpIdx < len(hps); hpIdx += workers {
-				hp := hps[hpIdx]
-				var tb *hpTable
-				var free []int
-				if s.ev != nil {
-					// Workers own disjoint hyperplane strides, so no
-					// table is ever built twice within a move; across
-					// moves and restarts the shared memo serves hits.
-					tb = s.ev.table(hp)
-					free = tb.free
-				} else {
-					var pivots gf2.Vec
-					for _, b := range hp.Basis {
-						pivots |= leading(b)
-					}
-					free = freePositions(n, pivots)
+				// Workers own disjoint hyperplane strides, so no table
+				// is ever built twice within a move; across moves and
+				// restarts the shared memo serves hits.
+				sc, err := s.scanHyperplane(cur, hps[hpIdx], best.est, buf, poll)
+				counts[w] += sc.evaluated
+				lookups[w] += sc.lookups
+				if err != nil {
+					errs[w] = err
+					cancel() // stop the sibling workers promptly
+					return
 				}
-				copy(basisBuf, hp.Basis)
-				for x := uint64(1); x < 1<<uint(len(free)); x++ {
-					if evaluated&(ctxCheckEvery-1) == 0 {
-						if err := xerr.Check(ctx); err != nil {
-							errs[w] = err
-							cancel() // stop the sibling workers promptly
-							return
-						}
-					}
-					rep := scatter(x, free)
-					if cur.Contains(rep) {
-						continue
-					}
-					var est uint64
-					if tb != nil {
-						est = s.ev.estimateAt(tb, x, rep)
-					} else {
-						basisBuf[d-1] = rep
-						est = s.p.EstimateBasis(basisBuf)
-						lookups[w] += uint64(1) << uint(d)
-					}
-					evaluated++
-					cand := candidate{est: est, hpIdx: hpIdx, rep: rep, valid: true}
-					if est < best.est || (est == best.est && best.valid && cand.better(best)) {
-						best = cand
-					}
+				if sc.est < best.est {
+					best = candidate{est: sc.est, hpIdx: hpIdx, rep: sc.rep, valid: true}
 				}
-			}
-			if best.est >= curEst {
-				best.valid = false
 			}
 			results[w] = best
-			counts[w] = evaluated
 		}(w)
 	}
 	wg.Wait()
+	total := 0
+	var reads uint64
+	for w := range results {
+		total += counts[w]
+		reads += lookups[w]
+	}
 	// Prefer a cancellation of the search's own context over the derived
 	// one: the first worker to fail canceled ctx for its siblings, and
 	// their secondary errors would otherwise mask the cause.
 	if err := xerr.Check(s.ctx); err != nil {
-		return candidate{}, 0, 0, err
+		return candidate{}, total, reads, err
 	}
 	// With the search's context healthy, any cancellation recorded by a
 	// worker is secondary — it observed the derived context after a
@@ -156,72 +129,13 @@ func (s *state) bestNeighborParallel(cur gf2.Subspace, curEst uint64, hps []gf2.
 		}
 	}
 	if firstErr != nil {
-		return candidate{}, 0, 0, firstErr
+		return candidate{}, total, reads, firstErr
 	}
 	merged := candidate{}
-	total := 0
-	var reads uint64
 	for w := range results {
-		total += counts[w]
-		reads += lookups[w]
 		if results[w].better(merged) {
 			merged = results[w]
 		}
 	}
 	return merged, total, reads, nil
-}
-
-// climbNullSpaceParallel is the multi-worker variant of climbNullSpace.
-func (s *state) climbNullSpaceParallel(start int) (Result, error) {
-	n, m := s.n, s.m
-	d := n - m
-	var res Result
-	var cur gf2.Subspace
-	var curEst uint64
-	if sn := s.takeResume(); sn != nil {
-		cur = gf2.Span(n, sn.Basis...)
-		curEst = sn.CurEst
-		res.Iterations = sn.ClimbIterations
-		res.Evaluated = sn.ClimbEvaluated
-	} else {
-		cur = gf2.SpanUnits(n, m, n)
-		if start > 0 {
-			cur = s.randomSubspace(d)
-		}
-		curEst = s.p.EstimateSubspace(cur)
-		res.Lookups = uint64(1) << uint(d)
-	}
-	degraded := func() Result {
-		res.Matrix = gf2.MatrixWithNullSpace(cur)
-		res.Estimated = curEst
-		res.Degraded = true
-		return res
-	}
-	for {
-		if s.capIterations(res.Iterations) {
-			break
-		}
-		hps := cur.Hyperplanes(nil)
-		best, evaluated, reads, err := s.bestNeighborParallel(cur, curEst, hps, s.opt.Workers)
-		if err != nil {
-			return degraded(), err
-		}
-		res.Evaluated += evaluated
-		res.Lookups += reads
-		if !best.valid {
-			break
-		}
-		// Reconstruct the winning subspace: hyperplane + representative.
-		basis := append(append([]gf2.Vec{}, hps[best.hpIdx].Basis...), best.rep)
-		cur = gf2.Span(n, basis...)
-		curEst = best.est
-		res.Iterations++
-		s.emit(res.Iterations, res.Evaluated, curEst)
-		if err := s.maybeCheckpoint(cur, curEst, &res); err != nil {
-			return degraded(), err
-		}
-	}
-	res.Matrix = gf2.MatrixWithNullSpace(cur)
-	res.Estimated = curEst
-	return res, nil
 }

@@ -189,8 +189,6 @@ func constructCtx(ctx context.Context, p *profile.Profile, m int, opt Options, w
 			// Fan-in-limited general XOR: search matrix space under the
 			// weight constraint instead of unconstrained null spaces.
 			climb = (*state).climbGeneralLimited
-		case opt.Workers != 0 && opt.Workers != 1:
-			climb = (*state).climbNullSpaceParallel
 		default:
 			climb = (*state).climbNullSpace
 		}
