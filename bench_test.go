@@ -33,6 +33,16 @@ import (
 	"xoridx/internal/workloads"
 )
 
+// mustProfile is the exact sequential profile.Build of an in-memory
+// trace, panicking on an invalid geometry — a test shorthand.
+func mustProfile(blocks []uint64, n, cacheBlocks int) *profile.Profile {
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), n, cacheBlocks, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // BenchmarkEq3DesignSpaceCounts reproduces the §2 design-space figures
 // (3.4e38 matrices vs 6.3e19 null spaces at n=16, m=8).
 func BenchmarkEq3DesignSpaceCounts(b *testing.B) {
@@ -85,7 +95,7 @@ func BenchmarkFig1Profiling(b *testing.B) {
 	blocks := tr.Blocks(4, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profile.Build(blocks, 16, 1024)
+		mustProfile(blocks, 16, 1024)
 	}
 	b.ReportMetric(float64(len(blocks)), "accesses/pass")
 }
@@ -95,7 +105,7 @@ func BenchmarkFig1Profiling(b *testing.B) {
 // claim; modern hardware is far faster).
 func BenchmarkConstructGeneralXOR(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 256)
+	p := mustProfile(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := search.Construct(p, 8, search.Options{Family: hash.FamilyGeneralXOR}); err != nil {
@@ -108,7 +118,7 @@ func BenchmarkConstructGeneralXOR(b *testing.B) {
 // search used for the deployable 2-input functions.
 func BenchmarkConstructPermutation2(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 256)
+	p := mustProfile(tr.Blocks(4, 16), 16, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := search.Construct(p, 8, search.Options{Family: hash.FamilyPermutation, MaxInputs: 2}); err != nil {
@@ -134,7 +144,7 @@ func benchTable2Cell(b *testing.B, bench string, instruction bool, cacheKB int) 
 			MaxInputs:  2,
 			NoFallback: true,
 		}
-		res, err := core.Tune(tr, cfg)
+		res, err := core.Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +170,7 @@ func BenchmarkTable2Instr16KB(b *testing.B) { benchTable2Cell(b, "rijndael", tru
 func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
 	cfg := core.Config{CacheBytes: 4096, NoFallback: true}
-	p, err := core.BuildProfile(tr, cfg)
+	p, err := core.BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,13 +179,13 @@ func BenchmarkExp1GeneralVsPermutation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := cfg
 		g.Family = hash.FamilyGeneralXOR
-		gres, err := core.TuneProfiled(tr, p, g)
+		gres, err := core.TuneProfiled(context.Background(), tr, p, g, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pm := cfg
 		pm.Family = hash.FamilyPermutation
-		pres, err := core.TuneProfiled(tr, p, pm)
+		pres, err := core.TuneProfiled(context.Background(), tr, p, pm, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +240,7 @@ func optimalConvMisses(blocks []uint64) uint64 {
 func BenchmarkTable3Row(b *testing.B) {
 	var row experiments.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3For([]string{"engine"}, 1)
+		rows, err := experiments.Table3(context.Background(), experiments.Options{}, []string{"engine"}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,7 +258,7 @@ func BenchmarkTable3Row(b *testing.B) {
 func BenchmarkAblationEstimatorVsSimulation(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
 	blocks := tr.Blocks(4, 16)
-	p := profile.Build(blocks, 16, 1024)
+	p := mustProfile(blocks, 16, 1024)
 	h := gf2.Identity(16, 10)
 	h.Cols[0] |= gf2.Unit(12)
 	ns := h.NullSpace()
@@ -275,7 +285,7 @@ func BenchmarkAblationEstimatorVsSimulation(b *testing.B) {
 // restarts add over the single conventional start.
 func BenchmarkAblationRestarts(b *testing.B) {
 	tr := mustWorkload(b, "mpeg2_dec").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 1024)
+	p := mustProfile(tr.Blocks(4, 16), 16, 1024)
 	for _, restarts := range []int{0, 3} {
 		name := "paper-single-start"
 		if restarts > 0 {
@@ -304,7 +314,7 @@ func BenchmarkCacheSimulator(b *testing.B) {
 	cfg := core.Config{CacheBytes: 4096}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Tune(tr, cfg)
+		res, err := core.Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +337,7 @@ func mustWorkload(b *testing.B, name string) workloads.Workload {
 // on the same profile, reporting both final estimates.
 func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 	tr := mustWorkload(b, "mpeg2_dec").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 1024)
+	p := mustProfile(tr.Blocks(4, 16), 16, 1024)
 	b.Run("hill-climb", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
@@ -356,7 +366,7 @@ func BenchmarkAblationAnnealVsHillClimb(b *testing.B) {
 // evaluation speedup on the general-XOR search.
 func BenchmarkAblationParallelSearch(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 256)
+	p := mustProfile(tr.Blocks(4, 16), 16, 256)
 	for _, workers := range []int{1, 4} {
 		name := "sequential"
 		if workers > 1 {
@@ -378,7 +388,7 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 // without a tuned L1 index and reports the AMAT of each.
 func BenchmarkExtensionHierarchy(b *testing.B) {
 	tr := mustWorkload(b, "fft").Data(1)
-	res, err := core.Tune(tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2})
+	res, err := core.Tune(context.Background(), tr, core.Config{CacheBytes: 1024, Family: hash.FamilyPermutation, MaxInputs: 2}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +419,7 @@ func BenchmarkExtensionFixedHashes(b *testing.B) {
 	var rows []experiments.FixedRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.FixedVsTuned([]string{"susan"}, 4, 1)
+		rows, err = experiments.FixedVsTuned(context.Background(), experiments.Options{}, []string{"susan"}, 4, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -429,7 +439,7 @@ func BenchmarkExtensionOptimalXOR(b *testing.B) {
 			blocks = append(blocks, i*16, i*16^0x155)
 		}
 	}
-	p := profile.Build(blocks, 9, 32)
+	p := mustProfile(blocks, 9, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := optimal.ExhaustiveXOR(p, 5); err != nil {
@@ -442,7 +452,7 @@ func BenchmarkExtensionOptimalXOR(b *testing.B) {
 // heuristic (refs [1]/[4] style) with the paper's hill climber.
 func BenchmarkAblationConstructiveVsSearch(b *testing.B) {
 	tr := mustWorkload(b, "susan").Data(1)
-	p := profile.Build(tr.Blocks(4, 16), 16, 1024)
+	p := mustProfile(tr.Blocks(4, 16), 16, 1024)
 	b.Run("constructive", func(b *testing.B) {
 		var est uint64
 		for i := 0; i < b.N; i++ {
@@ -743,7 +753,7 @@ func BenchmarkBuild(b *testing.B) {
 			b.SetBytes(int64(len(w.blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				profile.Build(w.blocks, benchProfileN, benchProfileCacheBlocks)
+				mustProfile(w.blocks, benchProfileN, benchProfileCacheBlocks)
 				if d := time.Since(start); newBest == 0 || d < newBest {
 					newBest = d
 				}
@@ -763,7 +773,7 @@ func BenchmarkBuild(b *testing.B) {
 			continue
 		}
 		// The baseline is only meaningful if both passes agree.
-		got := profile.Build(w.blocks, benchProfileN, benchProfileCacheBlocks)
+		got := mustProfile(w.blocks, benchProfileN, benchProfileCacheBlocks)
 		want := refProfileBuild(w.blocks, benchProfileN, benchProfileCacheBlocks)
 		if got.TotalPairs != want.TotalPairs || got.Candidates != want.Candidates ||
 			got.Capacity != want.Capacity || got.Compulsory != want.Compulsory {
@@ -813,7 +823,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	workerCounts := []int{1, 2, 4, 8}
 	var results []benchParallelResult
 	for _, w := range workloads {
-		want := profile.Build(w.blocks, n, cacheBlocks)
+		want := mustProfile(w.blocks, n, cacheBlocks)
 		perMs := make(map[int]float64)
 		for _, workers := range workerCounts {
 			b.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(b *testing.B) {
@@ -821,7 +831,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 				var best time.Duration
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
-					got, err := profile.BuildParallel(w.blocks, n, cacheBlocks, workers)
+					got, err := profile.Build(context.Background(), profile.Blocks(w.blocks), n, cacheBlocks,
+						profile.Options{Workers: workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -876,7 +887,7 @@ func BenchmarkBuildStream(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			profile.Build(t2.Blocks(4, n), n, cacheBlocks)
+			mustProfile(t2.Blocks(4, n), n, cacheBlocks)
 		}
 	})
 	for _, workers := range []int{1, 4} {
@@ -886,8 +897,8 @@ func BenchmarkBuildStream(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = profile.BuildStream(rd.BlockSource(4, n), n, cacheBlocks,
-					profile.ParallelOptions{Workers: workers})
+				_, err = profile.Build(context.Background(), profile.Stream(rd.BlockSource(4, n)), n, cacheBlocks,
+					profile.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1039,14 +1050,14 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 		// most work to skip — the shape sampling exists for.
 		blocks := walkHeavyBlocks(600_000)
 		const n, m = 20, 10
-		exact := profile.Build(blocks, n, benchProfileCacheBlocks)
+		exact := mustProfile(blocks, n, benchProfileCacheBlocks)
 		exactEst := exact.EstimateConventional(m)
 		var exactBest time.Duration
 		b.Run("exact", func(b *testing.B) {
 			b.SetBytes(int64(len(blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				profile.Build(blocks, n, benchProfileCacheBlocks)
+				mustProfile(blocks, n, benchProfileCacheBlocks)
 				if d := time.Since(start); exactBest == 0 || d < exactBest {
 					exactBest = d
 				}
@@ -1062,8 +1073,12 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 				var p *profile.Profile
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
-					p = profile.BuildSampled(blocks, n, benchProfileCacheBlocks,
-						profile.SampleOptions{K: k, Seed: 7})
+					var err error
+					p, err = profile.Build(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+						profile.Options{Sample: profile.SampleOptions{K: k, Seed: 7}})
+					if err != nil {
+						b.Fatal(err)
+					}
 					if d := time.Since(start); best == 0 || d < best {
 						best = d
 					}
@@ -1104,8 +1119,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			b.SetBytes(int64(len(blocks)) * 8)
 			for i := 0; i < b.N; i++ {
 				var err error
-				sparseP, err = profile.BuildParallelOpts(blocks, n, benchProfileCacheBlocks,
-					profile.ParallelOptions{Workers: 1, ForceSparse: true})
+				sparseP, err = profile.Build(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+					profile.Options{ForceSparse: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1116,8 +1131,8 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				opt := skOpt
-				sketchP, err = profile.BuildParallelOpts(blocks, n, benchProfileCacheBlocks,
-					profile.ParallelOptions{Workers: 1, Sketch: &opt})
+				sketchP, err = profile.Build(context.Background(), profile.Blocks(blocks), n, benchProfileCacheBlocks,
+					profile.Options{Sketch: &opt})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1180,7 +1195,7 @@ func BenchmarkBuildOutOfCore(b *testing.B) {
 func BenchmarkClimb(b *testing.B) {
 	const n, m, cacheBlocks = 16, 8, 256
 	tr := mustWorkload(b, "fft").Data(1)
-	p := profile.Build(tr.Blocks(4, n), n, cacheBlocks)
+	p := mustProfile(tr.Blocks(4, n), n, cacheBlocks)
 	type variant struct {
 		name string
 		opt  search.Options
@@ -1268,11 +1283,11 @@ func BenchmarkClimb(b *testing.B) {
 }
 
 // BenchmarkTune measures the end-to-end pipeline — Fig. 1 profiling,
-// §3.2 search, exact validation — on a 10M-access synthetic trace, in
-// both the check-free form (Tune) and the cancellable form (TuneCtx
-// with a live context and no sink). The final sub-benchmark writes
-// BENCH_pipeline.json recording the measured context-plumbing overhead;
-// the refactor's budget is < 2%.
+// §3.2 search, exact validation — on a 10M-access synthetic trace,
+// under context.Background() (whose cancellation polls cost nothing)
+// and under a live cancelable context, both without a sink. The final
+// sub-benchmark writes BENCH_pipeline.json recording the measured
+// context-plumbing overhead; the budget is < 2%.
 func BenchmarkTune(b *testing.B) {
 	const accesses = 10_000_000
 	tr := &trace.Trace{Name: "pipeline-bench"}
@@ -1303,7 +1318,7 @@ func BenchmarkTune(b *testing.B) {
 	}
 	b.Run("plain", func(b *testing.B) {
 		measure(b, "plain", func() error {
-			_, err := core.Tune(tr, cfg)
+			_, err := core.Tune(context.Background(), tr, cfg, nil)
 			return err
 		})
 	})
@@ -1311,7 +1326,7 @@ func BenchmarkTune(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		measure(b, "ctx", func() error {
-			_, err := core.TuneCtx(ctx, tr, cfg, nil)
+			_, err := core.Tune(ctx, tr, cfg, nil)
 			return err
 		})
 	})

@@ -1,6 +1,7 @@
 // Command benchcheck validates a BENCH_profile.json emitted by the
 // profiling benchmarks (BenchmarkBuild / BenchmarkBuildParallel in
-// bench_test.go), a BENCH_serve.json emitted by BenchmarkServe
+// bench_test.go), a BENCH_search.json emitted by BenchmarkClimb
+// (bench_test.go), a BENCH_serve.json emitted by BenchmarkServe
 // (bench_serve_test.go), or a BENCH_crack.json emitted by
 // BenchmarkCrack (bench_crack_test.go): it fails with a non-zero exit
 // on malformed JSON, missing sections, or nonsensical numbers, so CI
@@ -10,8 +11,16 @@
 // Usage:
 //
 //	benchcheck [-perf] [BENCH_profile.json]
+//	benchcheck BENCH_search.json
 //	benchcheck BENCH_serve.json
 //	benchcheck BENCH_crack.json
+//
+// Search baselines are checked unconditionally too: the incremental
+// and brute-force climbs must have returned the identical matrix, the
+// recording must come from a multi-core runner (num_cpu >= 2), and the
+// derived lookup_ratio and speedup must match the counts and times
+// they were computed from (the times are rounded to microseconds, so
+// speedup gets a 1e-3 relative tolerance).
 //
 // Crack baselines carry one unconditional invariant (no -perf needed):
 // on every recorded geometry the group-testing strategy must have
@@ -51,6 +60,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 )
@@ -177,6 +187,26 @@ type crackStrategy struct {
 	MsPerCrack     float64 `json:"ms_per_crack"`
 }
 
+// The mirror of bench_test.go's BENCH_search.json schema.
+type searchFile struct {
+	Benchmark       string  `json:"benchmark"`
+	Workload        string  `json:"workload"`
+	N               int     `json:"n"`
+	M               int     `json:"m"`
+	CacheBlocks     int     `json:"cache_blocks"`
+	GoVersion       string  `json:"go_version"`
+	NumCPU          int     `json:"num_cpu"`
+	Estimated       uint64  `json:"estimated_misses"`
+	BruteLookups    uint64  `json:"brute_lookups"`
+	IncLookups      uint64  `json:"incremental_lookups"`
+	LookupRatio     float64 `json:"lookup_ratio"`
+	MemoHits        uint64  `json:"memo_hits"`
+	BruteMs         float64 `json:"brute_ms"`
+	IncMs           float64 `json:"incremental_ms"`
+	Speedup         float64 `json:"speedup"`
+	MatrixIdentical bool    `json:"matrix_identical"`
+}
+
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "benchcheck: "+format+"\n", args...)
 	os.Exit(1)
@@ -218,6 +248,23 @@ func main() {
 		}
 		fmt.Printf("benchcheck: %s OK (%d geometries, group testing %.1f-%.1fx fewer queries)\n",
 			path, len(f.Geometries), minReduction(f.Geometries), maxReduction(f.Geometries))
+		return
+	}
+	if probe.Benchmark == "BenchmarkClimb" {
+		var f searchFile
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&f); err != nil {
+			fail("%s: malformed JSON: %v", path, err)
+		}
+		if *perf {
+			fail("%s: -perf applies to profile baselines only", path)
+		}
+		if err := validateSearch(&f); err != nil {
+			fail("%s: %v", path, err)
+		}
+		fmt.Printf("benchcheck: %s OK (%s n=%d m=%d, %.1fx fewer lookups, %.1fx faster)\n",
+			path, f.Workload, f.N, f.M, f.LookupRatio, f.Speedup)
 		return
 	}
 	if probe.Benchmark == "BenchmarkServe" {
@@ -321,6 +368,47 @@ func validateCrack(f *crackFile) error {
 		return fmt.Errorf("no rank-deficient geometry in the schedule")
 	}
 	return nil
+}
+
+// validateSearch holds a BENCH_search.json to its invariants: a sane
+// geometry, identical matrices from the incremental and brute-force
+// climbs, a multi-core recording, positive counts and times, and
+// derived ratios that match what they were derived from.
+func validateSearch(f *searchFile) error {
+	if f.Benchmark != "BenchmarkClimb" {
+		return fmt.Errorf("benchmark = %q, want BenchmarkClimb", f.Benchmark)
+	}
+	if f.Workload == "" || f.GoVersion == "" {
+		return fmt.Errorf("empty workload or go_version")
+	}
+	if f.N < 2 || f.N > 64 || f.M < 1 || f.M >= f.N || f.CacheBlocks <= 0 {
+		return fmt.Errorf("geometry n=%d m=%d cache_blocks=%d: need 2 <= n <= 64, 1 <= m < n and a positive cache",
+			f.N, f.M, f.CacheBlocks)
+	}
+	if !f.MatrixIdentical {
+		return fmt.Errorf("matrix_identical = false: the incremental and brute-force climbs diverged")
+	}
+	if f.NumCPU < 2 {
+		return fmt.Errorf("num_cpu = %d: a single-core recording is stale, re-record on >= 2 cores", f.NumCPU)
+	}
+	if f.BruteLookups == 0 || f.IncLookups == 0 {
+		return fmt.Errorf("zero lookup counts (brute %d, incremental %d)", f.BruteLookups, f.IncLookups)
+	}
+	if f.BruteMs <= 0 || f.IncMs <= 0 {
+		return fmt.Errorf("non-positive times (brute_ms %.3f, incremental_ms %.3f)", f.BruteMs, f.IncMs)
+	}
+	if want := float64(f.BruteLookups) / float64(f.IncLookups); !relClose(f.LookupRatio, want, 1e-12) {
+		return fmt.Errorf("lookup_ratio = %v does not match brute_lookups / incremental_lookups = %v", f.LookupRatio, want)
+	}
+	if want := f.BruteMs / f.IncMs; !relClose(f.Speedup, want, 1e-3) {
+		return fmt.Errorf("speedup = %v does not match brute_ms / incremental_ms = %v within 1e-3", f.Speedup, want)
+	}
+	return nil
+}
+
+// relClose reports |got - want| <= tol·|want|.
+func relClose(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Abs(want)
 }
 
 func minReduction(rows []crackRow) float64 {

@@ -621,3 +621,63 @@ func TestValidateCrackRejections(t *testing.T) {
 		})
 	}
 }
+
+// goodSearchFile returns a search baseline that passes every rule; its
+// numbers are a real recording's, ms values rounded as the emitter
+// rounds them.
+func goodSearchFile() *searchFile {
+	return &searchFile{
+		Benchmark:       "BenchmarkClimb",
+		Workload:        "fft",
+		N:               16,
+		M:               8,
+		CacheBlocks:     256,
+		GoVersion:       "go1.24.0",
+		NumCPU:          2,
+		BruteLookups:    166464256,
+		IncLookups:      4342259,
+		LookupRatio:     166464256.0 / 4342259,
+		MemoHits:        4,
+		BruteMs:         546.095,
+		IncMs:           16.471,
+		Speedup:         33.15365875025628,
+		MatrixIdentical: true,
+	}
+}
+
+func TestValidateSearchAcceptsGoodBaseline(t *testing.T) {
+	if err := validateSearch(goodSearchFile()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestValidateSearchRejections(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*searchFile)
+		wantSub string
+	}{
+		{"wrong benchmark name", func(f *searchFile) { f.Benchmark = "BenchmarkTune" }, "want BenchmarkClimb"},
+		{"climbs diverged", func(f *searchFile) { f.MatrixIdentical = false }, "matrix_identical"},
+		{"single-core recording", func(f *searchFile) { f.NumCPU = 1 }, "num_cpu"},
+		{"degenerate geometry", func(f *searchFile) { f.M = 16 }, "geometry"},
+		{"missing workload", func(f *searchFile) { f.Workload = "" }, "workload"},
+		{"zero lookups", func(f *searchFile) { f.IncLookups = 0 }, "zero lookup counts"},
+		{"non-positive time", func(f *searchFile) { f.IncMs = 0 }, "non-positive times"},
+		{"lookup_ratio drifted", func(f *searchFile) { f.LookupRatio *= 1.001 }, "lookup_ratio"},
+		{"speedup drifted", func(f *searchFile) { f.Speedup *= 1.01 }, "speedup"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := goodSearchFile()
+			tc.mutate(f)
+			err := validateSearch(f)
+			if err == nil {
+				t.Fatalf("accepted a baseline that should fail with %q", tc.wantSub)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("err = %q, want substring %q", err, tc.wantSub)
+			}
+		})
+	}
+}

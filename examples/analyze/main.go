@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,11 +70,11 @@ func main() {
 	sw := misses(padded, conv)
 
 	// 2b. Hardware fix: tune a XOR function, binary untouched.
-	res, err := core.Tune(broken, core.Config{
+	res, err := core.Tune(context.Background(), broken, core.Config{
 		CacheBytes: 4096,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		}
 		tr := w.Data(1)
 		cfg := core.Config{CacheBytes: cacheBytes} // fallback guard ON
-		p, err := core.BuildProfile(tr, cfg)
+		p, err := core.BuildProfile(context.Background(), tr, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func main() {
 			c := cfg
 			c.Family = fc.family
 			c.MaxInputs = fc.maxIn
-			res, err := core.TuneProfiled(tr, p, c)
+			res, err := core.TuneProfiled(context.Background(), tr, p, c, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

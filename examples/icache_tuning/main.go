@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,12 +34,12 @@ func main() {
 
 	fmt.Printf("%8s | %12s %12s %9s\n", "cache", "base misses", "XOR misses", "removed")
 	for _, kb := range []int{1, 4, 16} {
-		res, err := core.Tune(tr, core.Config{
+		res, err := core.Tune(context.Background(), tr, core.Config{
 			CacheBytes: kb * 1024,
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 			NoFallback: true, // show the raw optimizer output
-		})
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

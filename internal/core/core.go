@@ -16,7 +16,6 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/search"
-	"xoridx/internal/trace"
 	"xoridx/internal/xerr"
 )
 
@@ -72,10 +71,10 @@ type Config struct {
 	// NoFallback disables the revert-to-conventional guard of §6.
 	NoFallback bool
 	// Workers fans both pipeline phases out across goroutines: the
-	// profiling pass shards the trace (profile.BuildParallel, exact for
-	// any worker count) and the search phase parallelises neighbor
-	// evaluation where the algorithm supports it. 0 or 1 = sequential;
-	// < 0 = one worker per core.
+	// profiling pass shards the trace (profile.Build's sharded engine,
+	// exact for any worker count) and the search phase parallelises
+	// neighbor evaluation where the algorithm supports it. 0 or 1 =
+	// sequential; < 0 = one worker per core.
 	Workers int
 	// NoIncremental disables the search phase's memoized coset-sum
 	// evaluator, scoring every candidate with a full Gray-code walk as
@@ -86,8 +85,9 @@ type Config struct {
 	// snapshots: the profiling stage writes <path>.profile.ckpt and the
 	// search stage <path>.search.ckpt, both atomically, so a killed run
 	// restarted with Resume continues where it stopped (bit-identical
-	// to an uninterrupted run). Checkpointed profiling runs through the
-	// sequential builder regardless of Workers.
+	// to an uninterrupted run). Checkpointed profiling honours Workers:
+	// it is sharded in profile.DefaultChunkSize chunks when Workers > 1,
+	// and either engine resumes the other's snapshot.
 	CheckpointPath string
 	// CheckpointEvery is the profiling snapshot cadence in trace
 	// accesses (0 selects the profile layer's default, ~1M). The search
@@ -231,43 +231,6 @@ func (r *Result) MissesRemoved() float64 {
 	return 1 - float64(r.Optimized.Misses)/float64(r.Baseline.Misses)
 }
 
-// Tune runs the full pipeline on a trace.
-//
-// Tune is the non-cancellable form of TuneCtx: it profiles, searches
-// and validates with context.Background() and no event sink, keeping
-// the pre-refactor hot paths check-free.
-func Tune(tr *trace.Trace, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p, err := buildProfile(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return TuneProfiled(tr, p, cfg)
-}
-
-// TuneProfiled runs search + validation with a pre-built profile,
-// letting callers amortise profiling across several searches (e.g. the
-// 2-in/4-in/16-in sweep of Table 2). It is the non-cancellable form of
-// TuneProfiledCtx.
-func TuneProfiled(tr *trace.Trace, p *profile.Profile, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProfile(p, cfg); err != nil {
-		return nil, err
-	}
-	m := cfg.SetBits()
-	sres, err := search.Construct(p, m, cfg.searchOptions())
-	if err != nil {
-		return nil, err
-	}
-	return validateSearch(tr, p, cfg, sres)
-}
-
 // checkProfile verifies that a pre-built profile matches the config.
 func checkProfile(p *profile.Profile, cfg Config) error {
 	if p.N != cfg.AddrBits {
@@ -302,22 +265,6 @@ func (c Config) searchOptions() search.Options {
 func (c Config) profileCheckpointPath() string { return c.CheckpointPath + ".profile.ckpt" }
 func (c Config) searchCheckpointPath() string  { return c.CheckpointPath + ".search.ckpt" }
 
-// validateSearch turns a search result into the final Result: exact
-// baseline + optimized simulations and the §6 fallback guard.
-func validateSearch(tr *trace.Trace, p *profile.Profile, cfg Config, sres search.Result) (*Result, error) {
-	m := cfg.SetBits()
-	optFunc, err := hash.NewXOR(sres.Matrix)
-	if err != nil {
-		return nil, errInvalidMatrix(err)
-	}
-	res := &Result{Search: sres, Profile: p}
-	res.Baseline = simulate(tr, cfg, hash.Modulo(cfg.AddrBits, m))
-	res.Optimized = simulate(tr, cfg, optFunc)
-	res.Func = optFunc
-	applyFallback(res, cfg, m)
-	return res, nil
-}
-
 func errInvalidMatrix(err error) error {
 	return fmt.Errorf("core: search produced invalid matrix: %w", err)
 }
@@ -333,20 +280,6 @@ func applyFallback(res *Result, cfg Config, m int) {
 	}
 }
 
-// Simulate runs one exact simulation of the trace under the config's
-// geometry with the given index function — the validation primitive
-// Tune uses, exported for callers that construct functions themselves
-// (alternative search algorithms, saved matrices).
-func Simulate(tr *trace.Trace, cfg Config, f hash.Func) cache.Stats {
-	return simulate(tr, cfg.withDefaults(), f)
-}
-
-func simulate(tr *trace.Trace, cfg Config, f hash.Func) cache.Stats {
-	c := cache.MustNew(cacheConfig(cfg, f))
-	c.DisableClassification()
-	return c.Run(tr)
-}
-
 func cacheConfig(cfg Config, f hash.Func) cache.Config {
 	return cache.Config{
 		SizeBytes:  cfg.CacheBytes,
@@ -356,35 +289,11 @@ func cacheConfig(cfg Config, f hash.Func) cache.Config {
 	}
 }
 
-// BuildProfile profiles a trace for the given configuration; exposed
-// so callers can share it across TuneProfiled calls. With Workers > 1
-// (or < 0 for all cores) the pass runs through the sharded pipeline,
-// which is bit-identical to the sequential one. It is the
-// non-cancellable form of BuildProfileCtx.
-func BuildProfile(tr *trace.Trace, cfg Config) (*profile.Profile, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return buildProfile(tr, cfg)
-}
-
-func buildProfile(tr *trace.Trace, cfg Config) (*profile.Profile, error) {
-	blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
-	return profile.BuildParallelOpts(blocks, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
-}
-
 // profileOptions maps the config onto the profile layer's sharding,
-// sampling and backend options. Workers is clamped to at least 1:
-// Config's zero value means sequential, while a zero
-// ParallelOptions.Workers would mean one per core.
-func (c Config) profileOptions() profile.ParallelOptions {
-	w := c.profileWorkers()
-	if w < 1 {
-		w = 1
-	}
-	opt := profile.ParallelOptions{
-		Workers: w,
+// sampling, backend and checkpoint options.
+func (c Config) profileOptions() profile.Options {
+	opt := profile.Options{
+		Workers: c.profileWorkers(),
 		Sample:  profile.SampleOptions{K: c.SampleK, Seed: c.SampleSeed},
 	}
 	switch c.Backend {
@@ -392,6 +301,11 @@ func (c Config) profileOptions() profile.ParallelOptions {
 		opt.ForceSparse = true
 	case "sketch":
 		opt.Sketch = &profile.SketchOptions{Seed: c.SampleSeed}
+	}
+	if c.CheckpointPath != "" {
+		opt.Checkpoint = c.profileCheckpointPath()
+		opt.CheckpointEvery = uint64(c.CheckpointEvery)
+		opt.Resume = c.Resume
 	}
 	return opt
 }

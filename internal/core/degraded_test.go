@@ -3,10 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"xoridx/internal/hash"
+	"xoridx/internal/profile"
 	"xoridx/internal/trace"
 )
 
@@ -32,7 +37,7 @@ func degradedConfig() Config {
 func TestRunProfiledDegradedOnCancel(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
-	p, err := BuildProfile(tr, cfg)
+	p, err := BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestProfileDegradedPartialOnCancel(t *testing.T) {
 func TestPipelineCheckpointResume(t *testing.T) {
 	tr := richTrace(6)
 	cfg := degradedConfig()
-	want, err := Tune(tr, cfg)
+	want, err := Tune(context.Background(), tr, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +163,76 @@ func TestPipelineCheckpointResume(t *testing.T) {
 	}
 	if got.Func.Matrix().String() != want.Func.Matrix().String() {
 		t.Fatal("resumed run selected a different function")
+	}
+
+	// Kill mid-profile instead, on both profiling engines. Tune with a
+	// CheckpointPath must write the profile snapshot whatever Workers
+	// says, and a run killed mid-profile then resumed with Tune must
+	// reproduce the uninterrupted Result exactly.
+	long := richTrace(3000)
+	for _, workers := range []int{1, 2} {
+		lcfg := degradedConfig()
+		lcfg.Workers = workers
+		lcfg.CheckpointEvery = profile.DefaultChunkSize / 2
+		lcfg.CheckpointPath = filepath.Join(t.TempDir(), "full")
+		want, err := Tune(context.Background(), long, lcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, suffix := range []string{".profile.ckpt", ".search.ckpt"} {
+			if _, err := os.Stat(lcfg.CheckpointPath + suffix); err != nil {
+				t.Fatalf("workers=%d: Tune with CheckpointPath wrote no %s: %v", workers, suffix, err)
+			}
+		}
+
+		lcfg.CheckpointPath = filepath.Join(t.TempDir(), "killed")
+		lcfg.Resume = true
+		snapshot := lcfg.CheckpointPath + ".profile.ckpt"
+		blocks := long.Blocks(lcfg.BlockBytes, lcfg.AddrBits)
+		ctx, cancel := context.WithCancel(context.Background())
+		served := 0
+		// The stream cancels the run once its first chunk has been
+		// snapshotted, so the kill lands strictly inside the profile.
+		src := func(dst []uint64) (int, error) {
+			if served >= len(blocks) {
+				return 0, io.EOF
+			}
+			if served >= profile.DefaultChunkSize {
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+					if _, err := os.Stat(snapshot); err == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						return 0, errors.New("no periodic profile snapshot")
+					}
+				}
+				cancel()
+			}
+			k := copy(dst, blocks[served:])
+			served += k
+			return k, nil
+		}
+		pl := Pipeline{Config: lcfg}
+		_, err = pl.ProfileSource(ctx, src)
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers=%d: killed profile: err = %v, want wrapped ErrCanceled", workers, err)
+		}
+		bd, err := profile.RestoreFile(snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos := bd.Pos(); pos == 0 || pos >= uint64(len(blocks)) {
+			t.Fatalf("workers=%d: snapshot at access %d of %d, want strictly inside", workers, pos, len(blocks))
+		}
+		got, err := Tune(context.Background(), long, lcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: resumed Tune differs from the uninterrupted one:\n got %+v\nwant %+v",
+				workers, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/core"
@@ -16,11 +17,11 @@ func ExampleTune() {
 			tr.Append(i*1024, trace.Read) // stride == cache size
 		}
 	}
-	res, err := core.Tune(tr, core.Config{
+	res, err := core.Tune(context.Background(), tr, core.Config{
 		CacheBytes: 1024,
 		Family:     hash.FamilyPermutation,
 		MaxInputs:  2,
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +41,7 @@ func ExampleBuildProfile() {
 		tr.Append(1024, trace.Read)
 	}
 	cfg := core.Config{CacheBytes: 1024}
-	p, err := core.BuildProfile(tr, cfg)
+	p, err := core.BuildProfile(context.Background(), tr, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -48,7 +49,7 @@ func ExampleBuildProfile() {
 		c := cfg
 		c.Family = hash.FamilyPermutation
 		c.MaxInputs = maxIn
-		res, err := core.TuneProfiled(tr, p, c)
+		res, err := core.TuneProfiled(context.Background(), tr, p, c, nil)
 		if err != nil {
 			panic(err)
 		}

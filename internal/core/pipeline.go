@@ -4,13 +4,12 @@ package core
 // stages of the paper's construction algorithm — profile (Fig. 1),
 // search (§3.2), validate (§6) — as one blocking call; Pipeline exposes
 // them individually, threads a context through every hot loop beneath
-// them, and reports progress through an event sink. TuneCtx,
-// TuneProfiledCtx, BuildProfileCtx and SimulateCtx are the one-call
-// conveniences built on top of it.
+// them, and reports progress through an event sink. Tune,
+// TuneProfiled, BuildProfile and Simulate are the one-call conveniences
+// built on top of it.
 
 import (
 	"context"
-	"io"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
@@ -82,7 +81,7 @@ func (f SinkFunc) Emit(e Event) { f(e) }
 //
 // The one-call helpers cover the common case:
 //
-//	res, err := core.TuneCtx(ctx, tr, cfg)
+//	res, err := core.Tune(ctx, tr, cfg, nil)
 //
 // while the staged form lets a caller reuse a profile across several
 // searches, or interleave its own logic between stages:
@@ -110,60 +109,17 @@ func (pl *Pipeline) emit(e Event) {
 // sequence and builds the conflict-vector histogram, sharded across
 // Config.Workers when > 1 (bit-identical to the sequential pass).
 //
-// With Config.CheckpointPath set the stage runs through the
-// checkpointed builder — sharded when Workers > 1, sequential
-// otherwise; the snapshot format is shared, so either can resume the
-// other's snapshot — snapshotting every CheckpointEvery accesses;
-// Resume continues from an existing snapshot. On cancellation the
-// checkpointed paths return the partial profile so far — marked
-// Degraded and exact for the prefix it covers — alongside the error.
+// With Config.CheckpointPath set the stage snapshots every
+// CheckpointEvery accesses to <path>.profile.ckpt, and Resume continues
+// from an existing snapshot — sharded or sequential alike, since the
+// snapshot format is shared. On cancellation the sequential pass, and
+// the checkpointed sharded pass, return the partial profile so far —
+// marked Degraded and exact for the prefix it covers — alongside the
+// error; the sharded pass without a checkpoint returns none.
 func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Profile, error) {
-	cfg := pl.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	blocks := tr.Blocks(cfg.BlockBytes, cfg.AddrBits)
-	var (
-		p   *profile.Profile
-		err error
-	)
-	switch w := cfg.profileWorkers(); {
-	case cfg.CheckpointPath != "":
-		rest := blocks
-		src := func(dst []uint64) (int, error) {
-			if len(rest) == 0 {
-				return 0, io.EOF
-			}
-			k := copy(dst, rest)
-			rest = rest[k:]
-			return k, nil
-		}
-		copt := profile.CheckpointOptions{
-			Path:   cfg.profileCheckpointPath(),
-			Every:  uint64(cfg.CheckpointEvery),
-			Resume: cfg.Resume,
-		}
-		if w > 1 {
-			// Checkpointing and sharding compose: the snapshot format is
-			// shared, so a sequential snapshot resumes sharded and back.
-			p, err = profile.BuildStreamCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-				profile.ParallelOptions{Workers: w}, copt)
-		} else {
-			p, err = profile.BuildCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, copt)
-		}
-	default:
-		// BuildParallelCtx's Workers <= 1 path is the plain sequential
-		// pass, so one call covers sequential, sharded, sampled and
-		// alternative-backend builds alike.
-		p, err = profile.BuildParallelCtx(ctx, blocks, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions())
-	}
-	if err != nil {
-		return p, err
-	}
-	pl.emit(Event{Kind: StageFinished, Stage: StageProfile})
-	return p, nil
+	return pl.profile(ctx, func(cfg Config) profile.Source {
+		return profile.Blocks(tr.Blocks(cfg.BlockBytes, cfg.AddrBits))
+	})
 }
 
 // ProfileSource runs the Fig. 1 profiling stage over a block-source
@@ -175,27 +131,19 @@ func (pl *Pipeline) Profile(ctx context.Context, tr *trace.Trace) (*profile.Prof
 // Profile; exact unsampled streams produce bit-identical profiles to
 // the in-memory pass.
 func (pl *Pipeline) ProfileSource(ctx context.Context, src profile.BlockSource) (*profile.Profile, error) {
+	return pl.profile(ctx, func(Config) profile.Source { return profile.Stream(src) })
+}
+
+// profile runs the profiling stage over the source src returns for the
+// defaulted, validated config (the in-memory block extraction depends
+// on its BlockBytes and AddrBits).
+func (pl *Pipeline) profile(ctx context.Context, src func(Config) profile.Source) (*profile.Profile, error) {
 	cfg := pl.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageProfile})
-	var (
-		p   *profile.Profile
-		err error
-	)
-	if cfg.CheckpointPath != "" {
-		copt := profile.CheckpointOptions{
-			Path:   cfg.profileCheckpointPath(),
-			Every:  uint64(cfg.CheckpointEvery),
-			Resume: cfg.Resume,
-		}
-		p, err = profile.BuildStreamCheckpointedCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions(), copt)
-	} else {
-		p, err = profile.BuildStreamCtx(ctx, src, cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes,
-			cfg.profileOptions())
-	}
+	p, err := profile.Build(ctx, src(cfg), cfg.AddrBits, cfg.CacheBytes/cfg.BlockBytes, cfg.profileOptions())
 	if err != nil {
 		return p, err
 	}
@@ -287,7 +235,7 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
-	if res.Baseline, err = simulateCtx(ctx, tr, cfg, hash.Modulo(cfg.AddrBits, m)); err != nil {
+	if res.Baseline, err = simulate(ctx, tr, cfg, hash.Modulo(cfg.AddrBits, m)); err != nil {
 		// The searched function is intact — only its exact validation
 		// (and the §6 fallback guard) is missing. Hand it back Degraded
 		// with zeroed simulation stats rather than dropping it.
@@ -295,7 +243,7 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 		res.Degraded = true
 		return res, err
 	}
-	if res.Optimized, err = simulateCtx(ctx, tr, cfg, optFunc); err != nil {
+	if res.Optimized, err = simulate(ctx, tr, cfg, optFunc); err != nil {
 		res.Baseline, res.Optimized = cache.Stats{}, cache.Stats{}
 		res.Degraded = true
 		return res, err
@@ -336,36 +284,42 @@ func (pl *Pipeline) RunProfiled(ctx context.Context, tr *trace.Trace, p *profile
 	return pl.Validate(ctx, tr, p, sres)
 }
 
-// TuneCtx is Tune with cooperative cancellation and optional progress
-// events: every stage checks ctx periodically (see DESIGN.md §9 for
+// Tune runs the full pipeline on a trace: profile, search and
+// validate. Every stage checks ctx periodically (see DESIGN.md §9 for
 // the granularity per layer) and returns a wrapped ErrCanceled when it
 // is done. events may be nil.
-func TuneCtx(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
+func Tune(ctx context.Context, tr *trace.Trace, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	return pl.Run(ctx, tr)
 }
 
-// TuneProfiledCtx is TuneProfiled with cooperative cancellation and
-// optional progress events.
-func TuneProfiledCtx(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
+// TuneProfiled runs search + validation with a pre-built profile,
+// letting callers amortise profiling across several searches (e.g. the
+// 2-in/4-in/16-in sweep of Table 2). events may be nil.
+func TuneProfiled(ctx context.Context, tr *trace.Trace, p *profile.Profile, cfg Config, events Sink) (*Result, error) {
 	pl := Pipeline{Config: cfg, Events: events}
 	return pl.RunProfiled(ctx, tr, p)
 }
 
-// BuildProfileCtx is BuildProfile with cooperative cancellation.
-func BuildProfileCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
+// BuildProfile profiles a trace for the given configuration — the
+// profiling stage alone, for callers that share one profile across
+// TuneProfiled calls.
+func BuildProfile(ctx context.Context, tr *trace.Trace, cfg Config) (*profile.Profile, error) {
 	pl := Pipeline{Config: cfg}
 	return pl.Profile(ctx, tr)
 }
 
-// SimulateCtx is Simulate with cooperative cancellation: the simulation
-// loop polls ctx and returns the statistics so far alongside a wrapped
+// Simulate runs one exact simulation of the trace under the config's
+// geometry with the given index function — the validation primitive
+// Tune uses, exported for callers that construct functions themselves
+// (alternative search algorithms, saved matrices). The simulation loop
+// polls ctx and returns the statistics so far alongside a wrapped
 // ErrCanceled when it is done.
-func SimulateCtx(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
-	return simulateCtx(ctx, tr, cfg.withDefaults(), f)
+func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
+	return simulate(ctx, tr, cfg.withDefaults(), f)
 }
 
-func simulateCtx(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
+func simulate(ctx context.Context, tr *trace.Trace, cfg Config, f hash.Func) (cache.Stats, error) {
 	c, err := cache.New(cacheConfig(cfg, f))
 	if err != nil {
 		return cache.Stats{}, err

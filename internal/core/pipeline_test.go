@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"xoridx/internal/cache"
 	"xoridx/internal/hash"
 )
 
@@ -14,19 +15,36 @@ func pipelineConfig() Config {
 }
 
 func TestTuneCtxMatchesTune(t *testing.T) {
+	// The one-call Tune, with a sink installed, must match the staged
+	// pipeline run stage by stage without one: events never steer the
+	// result.
 	tr := thrashTrace(64, 300)
 	cfg := pipelineConfig()
-	want, err := Tune(tr, cfg)
+	ctx := context.Background()
+	pl := Pipeline{Config: cfg}
+	p, err := pl.Profile(ctx, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TuneCtx(context.Background(), tr, cfg, nil)
+	sres, err := pl.Search(ctx, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := pl.Validate(ctx, tr, p, sres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	got, err := Tune(ctx, tr, cfg, SinkFunc(func(Event) { events++ }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("Tune emitted no events to its sink")
 	}
 	if got.Baseline != want.Baseline || got.Optimized != want.Optimized ||
 		got.Search.Estimated != want.Search.Estimated || got.UsedFallback != want.UsedFallback {
-		t.Fatalf("TuneCtx result %+v differs from Tune %+v", got, want)
+		t.Fatalf("Tune result %+v differs from the staged pipeline's %+v", got, want)
 	}
 }
 
@@ -37,7 +55,7 @@ func TestTuneCtxMatchesTune(t *testing.T) {
 func TestPipelineEventOrder(t *testing.T) {
 	tr := thrashTrace(64, 300)
 	var events []Event
-	res, err := TuneCtx(context.Background(), tr, pipelineConfig(), SinkFunc(func(e Event) {
+	res, err := Tune(context.Background(), tr, pipelineConfig(), SinkFunc(func(e Event) {
 		events = append(events, e)
 	}))
 	if err != nil {
@@ -87,7 +105,7 @@ func TestPipelineEventOrder(t *testing.T) {
 func TestTuneCtxCanceledMidProfile(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildProfileCtx(ctx, thrashTrace(64, 100), pipelineConfig())
+	_, err := BuildProfile(ctx, thrashTrace(64, 100), pipelineConfig())
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v must wrap ErrCanceled and context.Canceled", err)
 	}
@@ -101,7 +119,7 @@ func TestTuneCtxCanceledMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sawProfile := false
-	_, err := TuneCtx(ctx, tr, pipelineConfig(), SinkFunc(func(e Event) {
+	_, err := Tune(ctx, tr, pipelineConfig(), SinkFunc(func(e Event) {
 		if e.Kind == StageFinished && e.Stage == StageProfile {
 			sawProfile = true
 		}
@@ -121,16 +139,18 @@ func TestSimulateCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := pipelineConfig()
-	_, err := SimulateCtx(ctx, thrashTrace(64, 10), cfg, hash.Modulo(12, 6))
+	_, err := Simulate(ctx, thrashTrace(64, 10), cfg, hash.Modulo(12, 6))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("error %v must wrap ErrCanceled", err)
 	}
-	// Uncanceled, it must agree with the plain Simulate.
+	// Uncanceled, it must agree with a plain cache run of the geometry.
 	tr := thrashTrace(64, 50)
-	want := Simulate(tr, cfg, hash.Modulo(12, 6))
-	got, err := SimulateCtx(context.Background(), tr, cfg, hash.Modulo(12, 6))
+	c := cache.MustNew(cacheConfig(cfg.withDefaults(), hash.Modulo(12, 6)))
+	c.DisableClassification()
+	want := c.Run(tr)
+	got, err := Simulate(context.Background(), tr, cfg, hash.Modulo(12, 6))
 	if err != nil || got != want {
-		t.Fatalf("SimulateCtx = %+v, %v; want %+v", got, err, want)
+		t.Fatalf("Simulate = %+v, %v; want %+v", got, err, want)
 	}
 }
 
@@ -157,7 +177,7 @@ func TestPipelineStagedReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Family = fam
-		want, err := Tune(tr, cfg)
+		want, err := Tune(context.Background(), tr, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +202,7 @@ func TestSharedSinkConcurrentPipelines(t *testing.T) {
 			defer wg.Done()
 			cfg := pipelineConfig()
 			cfg.Workers = workers
-			if _, err := TuneCtx(context.Background(), tr, cfg, sink); err != nil {
+			if _, err := Tune(context.Background(), tr, cfg, sink); err != nil {
 				t.Error(err)
 			}
 		}(i * 2) // workers 0 and 2
@@ -200,19 +220,19 @@ func TestTypedGeometryErrors(t *testing.T) {
 		{CacheBytes: 1024, AddrBits: 8},
 	}
 	for i, cfg := range bad {
-		if _, err := Tune(thrashTrace(64, 1), cfg); !errors.Is(err, ErrInvalidGeometry) {
+		if _, err := Tune(context.Background(), thrashTrace(64, 1), cfg, nil); !errors.Is(err, ErrInvalidGeometry) {
 			t.Errorf("config %d: error %v must wrap ErrInvalidGeometry", i, err)
 		}
 	}
 	// Profile mismatch: profile built for another geometry.
 	cfg := pipelineConfig()
-	p, err := BuildProfile(thrashTrace(64, 10), cfg)
+	p, err := BuildProfile(context.Background(), thrashTrace(64, 10), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.CacheBytes = 512
-	if _, err := TuneProfiled(thrashTrace(64, 10), p, other); !errors.Is(err, ErrProfileMismatch) {
+	if _, err := TuneProfiled(context.Background(), thrashTrace(64, 10), p, other, nil); !errors.Is(err, ErrProfileMismatch) {
 		t.Errorf("error %v must wrap ErrProfileMismatch", err)
 	}
 }

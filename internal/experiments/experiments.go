@@ -3,6 +3,10 @@
 // function returns structured rows; the text renderers in render.go
 // print them in the paper's layout, and cmd/tables exposes them on the
 // command line. EXPERIMENTS.md records paper-vs-measured values.
+//
+// Every driver takes a context and an Options: a canceled context
+// aborts the driver's in-flight pipelines and returns a wrapped
+// core.ErrCanceled.
 package experiments
 
 import (
@@ -80,54 +84,22 @@ type Table2Row struct {
 	Cells [3]Table2Cell
 }
 
-// Table2 reproduces paper Table 2 for data caches (kind = trace.Read)
-// or instruction caches (kind = trace.Fetch): baseline misses/K-op and
-// the percentage of misses removed by optimized permutation-based
-// XOR-functions with 2, 4 and unlimited inputs. The final row returned
-// by Average is the paper's "average" row.
-func Table2(instruction bool, scale int) ([]Table2Row, error) {
-	return Table2Ctx(context.Background(), Options{}, instruction, scale)
-}
-
-// Table2Ctx is Table2 with cancellation and options.
-func Table2Ctx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ForCtx(ctx, opt, nil, instruction, scale)
-}
-
-// Table2For runs Table 2 for a subset of benchmark names (nil = all),
-// used by the fast test and bench paths.
-func Table2For(names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ForCtx(context.Background(), Options{}, names, instruction, scale)
-}
-
-// Table2ForCtx is Table2For with cancellation and options.
-func Table2ForCtx(ctx context.Context, opt Options, names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(ctx, opt, workloads.MediaSuite(), names, instruction, scale)
-}
-
-// Table2Extra runs the Table 2 protocol over the extra benchmark suite
+// Table2 reproduces paper Table 2 for data caches (instruction false,
+// kind = trace.Read) or instruction caches (kind = trace.Fetch):
+// baseline misses/K-op and the percentage of misses removed by
+// optimized permutation-based XOR-functions with 2, 4 and unlimited
+// inputs, for the named benchmarks of suite (nil names = all). Pass
+// workloads.MediaSuite() for the paper's table, or
+// workloads.ExtraSuite() for the same protocol over the extra suite
 // (gsm, g721, epic, pegwit) — benchmarks from the same families the
 // paper's evaluation drew on but did not have table space for.
-func Table2Extra(instruction bool, scale int) ([]Table2Row, error) {
-	return Table2ExtraCtx(context.Background(), Options{}, instruction, scale)
-}
-
-// Table2ExtraCtx is Table2Extra with cancellation and options.
-func Table2ExtraCtx(ctx context.Context, opt Options, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(ctx, opt, workloads.ExtraSuite(), nil, instruction, scale)
-}
-
-// Table2Suite is the generic driver behind Table2/Table2For/Table2Extra.
+// Table2Average computes the paper's "average" row.
+//
 // Benchmarks are processed in parallel (each row is independent); the
-// returned order matches the suite order.
-func Table2Suite(suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
-	return Table2SuiteCtx(context.Background(), Options{}, suite, names, instruction, scale)
-}
-
-// Table2SuiteCtx is Table2Suite with cancellation and options. A
-// canceled context aborts every in-flight per-benchmark pipeline and
-// returns a wrapped core.ErrCanceled.
-func Table2SuiteCtx(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
+// returned order matches the suite order. A canceled context aborts
+// every in-flight per-benchmark pipeline and returns a wrapped
+// core.ErrCanceled.
+func Table2(ctx context.Context, opt Options, suite []workloads.Workload, names []string, instruction bool, scale int) ([]Table2Row, error) {
 	var selected []workloads.Workload
 	for _, w := range suite {
 		if nameSelected(names, w.Name) {
@@ -185,7 +157,7 @@ func tuneCell(ctx context.Context, opt Options, tr *trace.Trace, cacheBytes int)
 		Family:     hash.FamilyPermutation,
 		NoFallback: true, // report raw results like the paper's tables
 	}
-	p, err := core.BuildProfileCtx(ctx, tr, cfg)
+	p, err := core.BuildProfile(ctx, tr, cfg)
 	if err != nil {
 		return Table2Cell{}, err
 	}
@@ -193,7 +165,7 @@ func tuneCell(ctx context.Context, opt Options, tr *trace.Trace, cacheBytes int)
 	for i, maxIn := range []int{2, 4, 0} {
 		c := cfg
 		c.MaxInputs = maxIn
-		res, err := core.TuneProfiledCtx(ctx, tr, p, c, opt.Events)
+		res, err := core.TuneProfiled(ctx, tr, p, c, opt.Events)
 		if err != nil {
 			return Table2Cell{}, err
 		}
@@ -239,12 +211,7 @@ type Exp1Row struct {
 // general 34.6/44.0/26.9% vs permutation-based 32.3/43.9/26.7% for
 // 1/4/16 KB data caches — i.e. restricting the family costs almost
 // nothing.
-func Experiment1(scale int) ([]Exp1Row, error) {
-	return Experiment1Ctx(context.Background(), Options{}, scale)
-}
-
-// Experiment1Ctx is Experiment1 with cancellation and options.
-func Experiment1Ctx(ctx context.Context, opt Options, scale int) ([]Exp1Row, error) {
+func Experiment1(ctx context.Context, opt Options, scale int) ([]Exp1Row, error) {
 	suite := workloads.MediaSuite()
 	traces := make([]*trace.Trace, len(suite))
 	for i, w := range suite {
@@ -261,19 +228,19 @@ func Experiment1Ctx(ctx context.Context, opt Options, scale int) ([]Exp1Row, err
 				Workers:    opt.Workers,
 				NoFallback: true,
 			}
-			p, err := core.BuildProfileCtx(ctx, traces[i], cfg)
+			p, err := core.BuildProfile(ctx, traces[i], cfg)
 			if err != nil {
 				return nil, err
 			}
 			gen := cfg
 			gen.Family = hash.FamilyGeneralXOR
-			gres, err := core.TuneProfiledCtx(ctx, traces[i], p, gen, opt.Events)
+			gres, err := core.TuneProfiled(ctx, traces[i], p, gen, opt.Events)
 			if err != nil {
 				return nil, err
 			}
 			perm := cfg
 			perm.Family = hash.FamilyPermutation
-			pres, err := core.TuneProfiledCtx(ctx, traces[i], p, perm, opt.Events)
+			pres, err := core.TuneProfiled(ctx, traces[i], p, perm, opt.Events)
 			if err != nil {
 				return nil, err
 			}
@@ -306,24 +273,9 @@ type Table3Row struct {
 const Table3MaxTrace = 60000
 
 // Table3 reproduces paper Table 3 on the 4 KB direct-mapped data
-// cache.
-func Table3(scale int) ([]Table3Row, error) {
-	return Table3Ctx(context.Background(), Options{}, scale)
-}
-
-// Table3Ctx is Table3 with cancellation and options.
-func Table3Ctx(ctx context.Context, opt Options, scale int) ([]Table3Row, error) {
-	return Table3ForCtx(ctx, opt, nil, scale)
-}
-
-// Table3For runs Table 3 for a subset of benchmark names (nil = all).
-// Rows are computed in parallel; order matches the suite.
-func Table3For(names []string, scale int) ([]Table3Row, error) {
-	return Table3ForCtx(context.Background(), Options{}, names, scale)
-}
-
-// Table3ForCtx is Table3For with cancellation and options.
-func Table3ForCtx(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
+// cache for the named PowerStone benchmarks (nil = all). Rows are
+// computed in parallel; order matches the suite.
+func Table3(ctx context.Context, opt Options, names []string, scale int) ([]Table3Row, error) {
 	var selected []workloads.Workload
 	for _, w := range workloads.PowerStoneSuite() {
 		if nameSelected(names, w.Name) {
@@ -372,12 +324,12 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 			Workers:    opt.Workers,
 			NoFallback: true,
 		}
-		p, err := core.BuildProfileCtx(ctx, tr, cfg)
+		p, err := core.BuildProfile(ctx, tr, cfg)
 		if err != nil {
 			return Table3Row{}, err
 		}
 		// Baseline for all percentages: conventional modulo indexing.
-		base, err := core.TuneProfiledCtx(ctx, tr, p, withFamily(cfg, hash.FamilyPermutation, 1), opt.Events)
+		base, err := core.TuneProfiled(ctx, tr, p, withFamily(cfg, hash.FamilyPermutation, 1), opt.Events)
 		if err != nil {
 			return Table3Row{}, err
 		}
@@ -407,7 +359,7 @@ func table3Row(ctx context.Context, opt Options, w workloads.Workload, scale int
 			{hash.FamilyPermutation, 4, &row.In4Pct},
 			{hash.FamilyPermutation, 0, &row.In16},
 		} {
-			res, err := core.TuneProfiledCtx(ctx, tr, p, withFamily(cfg, fc.family, fc.maxIn), opt.Events)
+			res, err := core.TuneProfiled(ctx, tr, p, withFamily(cfg, fc.family, fc.maxIn), opt.Events)
 			if err != nil {
 				return Table3Row{}, err
 			}

@@ -50,12 +50,7 @@ type CrossApplicationResult struct {
 // named benchmark's data trace on the given cache size, then evaluates
 // every function on every benchmark (nil names = a representative
 // four-benchmark subset).
-func CrossApplication(names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
-	return CrossApplicationCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// CrossApplicationCtx is CrossApplication with cancellation and options.
-func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
+func CrossApplication(ctx context.Context, opt Options, names []string, cacheKB, scale int) (*CrossApplicationResult, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael"}
 	}
@@ -77,7 +72,7 @@ func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cache
 			return nil, err
 		}
 		traces[i] = w.Data(scale)
-		res, err := core.TuneCtx(ctx, traces[i], cfg, opt.Events)
+		res, err := core.Tune(ctx, traces[i], cfg, opt.Events)
 		if err != nil {
 			return nil, fmt.Errorf("tuning for %s: %w", name, err)
 		}
@@ -88,7 +83,7 @@ func CrossApplicationCtx(ctx context.Context, opt Options, names []string, cache
 	for i, name := range names {
 		row := CrossRow{TunedFor: name, RemovedPct: make([]float64, len(names))}
 		for j := range names {
-			misses, err := simulateWithCtx(ctx, traces[j], cfg, funcs[i])
+			misses, err := simulateWith(ctx, traces[j], cfg, funcs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -125,18 +120,7 @@ func (r *CrossApplicationResult) MatchedMinusMismatched() float64 {
 	return diag/float64(nDiag) - off/float64(nOff)
 }
 
-func simulateWith(tr *trace.Trace, cfg core.Config, f hash.Func) uint64 {
-	c := cache.MustNew(cache.Config{
-		SizeBytes:  cfg.CacheBytes,
-		BlockBytes: cfg.BlockBytes,
-		Ways:       1,
-		Index:      f,
-	})
-	c.DisableClassification()
-	return c.Run(tr).Misses
-}
-
-func simulateWithCtx(ctx context.Context, tr *trace.Trace, cfg core.Config, f hash.Func) (uint64, error) {
+func simulateWith(ctx context.Context, tr *trace.Trace, cfg core.Config, f hash.Func) (uint64, error) {
 	c, err := cache.New(cache.Config{
 		SizeBytes:  cfg.CacheBytes,
 		BlockBytes: cfg.BlockBytes,
@@ -169,13 +153,7 @@ type AssocRow struct {
 
 // AssociativityComparison runs the named benchmarks (nil = default
 // subset) on a cacheKB-sized cache under five organisations.
-func AssociativityComparison(names []string, cacheKB, scale int) ([]AssocRow, error) {
-	return AssociativityComparisonCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// AssociativityComparisonCtx is AssociativityComparison with
-// cancellation and options.
-func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]AssocRow, error) {
+func AssociativityComparison(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]AssocRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
 	}
@@ -195,7 +173,7 @@ func AssociativityComparisonCtx(ctx context.Context, opt Options, names []string
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -284,13 +262,7 @@ type PhaseRow struct {
 // to the multiprogrammed setting its introduction alludes to: the
 // reconfiguration win must pay for the flushes, so it grows with the
 // quantum.
-func PhaseReconfiguration(benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
-	return PhaseReconfigurationCtx(context.Background(), Options{}, benchA, benchB, cacheKB, scale, quanta)
-}
-
-// PhaseReconfigurationCtx is PhaseReconfiguration with cancellation and
-// options.
-func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
+func PhaseReconfiguration(ctx context.Context, opt Options, benchA, benchB string, cacheKB, scale int, quanta []int) ([]PhaseRow, error) {
 	wa, err := workloads.ByName(benchA)
 	if err != nil {
 		return nil, err
@@ -309,11 +281,11 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		MaxInputs:  2,
 		NoFallback: true,
 	}
-	resA, err := core.TuneCtx(ctx, ta, cfg, opt.Events)
+	resA, err := core.Tune(ctx, ta, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
-	resB, err := core.TuneCtx(ctx, tb, cfg, opt.Events)
+	resB, err := core.Tune(ctx, tb, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +297,12 @@ func PhaseReconfigurationCtx(ctx context.Context, opt Options, benchA, benchB st
 		row := PhaseRow{Quantum: q, Switches: len(switches)}
 
 		// (a) modulo throughout.
-		if row.Modulo, err = simulateWithCtx(ctx, merged, cfg, hash.Modulo(AddrBits, cfg.SetBits())); err != nil {
+		if row.Modulo, err = simulateWith(ctx, merged, cfg, hash.Modulo(AddrBits, cfg.SetBits())); err != nil {
 			return nil, err
 		}
 
 		// (b) one compromise function tuned on the merged trace.
-		comp, err := core.TuneCtx(ctx, merged, cfg, opt.Events)
+		comp, err := core.Tune(ctx, merged, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -382,12 +354,7 @@ type SweepPoint struct {
 // size, as a reconfigurable deployment would), the tuned function on a
 // 2-way cache (hashing and associativity compose), and the FA-LRU
 // reference. It generalises the paper's three-size tables into a curve.
-func SizeSweep(bench string, sizes []int, scale int) ([]SweepPoint, error) {
-	return SizeSweepCtx(context.Background(), Options{}, bench, sizes, scale)
-}
-
-// SizeSweepCtx is SizeSweep with cancellation and options.
-func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, scale int) ([]SweepPoint, error) {
+func SizeSweep(ctx context.Context, opt Options, bench string, sizes []int, scale int) ([]SweepPoint, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -406,7 +373,7 @@ func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, s
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, fmt.Errorf("%s @ %dB: %w", bench, size, err)
 		}
@@ -420,7 +387,7 @@ func SizeSweepCtx(ctx context.Context, opt Options, bench string, sizes []int, s
 		// a fresh function for the 2-way geometry (one fewer set bit).
 		cfg2 := cfg
 		cfg2.CacheBytes = size // same capacity, half the sets
-		p2, err := core.BuildProfileCtx(ctx, tr, cfg2)
+		p2, err := core.BuildProfile(ctx, tr, cfg2)
 		if err != nil {
 			return nil, err
 		}
@@ -461,12 +428,7 @@ type FixedRow struct {
 
 // FixedVsTuned runs the named benchmarks (nil = representative subset)
 // on a direct-mapped cache under the four index functions.
-func FixedVsTuned(names []string, cacheKB, scale int) ([]FixedRow, error) {
-	return FixedVsTunedCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// FixedVsTunedCtx is FixedVsTuned with cancellation and options.
-func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]FixedRow, error) {
+func FixedVsTuned(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]FixedRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "rijndael", "mpeg2_dec"}
 	}
@@ -486,7 +448,7 @@ func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, 
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -499,11 +461,11 @@ func FixedVsTunedCtx(ctx context.Context, opt Options, names []string, cacheKB, 
 		if err != nil {
 			return nil, err
 		}
-		foldedMisses, err := simulateWithCtx(ctx, tr, cfg, folded)
+		foldedMisses, err := simulateWith(ctx, tr, cfg, folded)
 		if err != nil {
 			return nil, err
 		}
-		polyMisses, err := simulateWithCtx(ctx, tr, cfg, poly)
+		polyMisses, err := simulateWith(ctx, tr, cfg, poly)
 		if err != nil {
 			return nil, err
 		}
@@ -534,12 +496,7 @@ type EnergyRow struct {
 // traffic) with the hwcost energy model — the quantitative form of the
 // paper's §1 power motivation. Per-access energy uses the Fig. 2b
 // permutation network for the XOR column.
-func EnergyComparison(names []string, cacheKB, scale int) ([]EnergyRow, error) {
-	return EnergyComparisonCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// EnergyComparisonCtx is EnergyComparison with cancellation and options.
-func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]EnergyRow, error) {
+func EnergyComparison(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]EnergyRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "adpcm_dec", "susan", "mpeg2_dec"}
 	}
@@ -560,7 +517,7 @@ func EnergyComparisonCtx(ctx context.Context, opt Options, names []string, cache
 			Family:     hash.FamilyPermutation,
 			MaxInputs:  2,
 		}
-		res, err := core.TuneCtx(ctx, tr, cfg, opt.Events)
+		res, err := core.Tune(ctx, tr, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -615,13 +572,7 @@ type ReplRow struct {
 // ReplacementAblation crosses replacement policy with indexing on
 // 2-way caches of the given size: application-specific hashing attacks
 // the same misses replacement policies do, from the indexing side.
-func ReplacementAblation(names []string, cacheKB, scale int) ([]ReplRow, error) {
-	return ReplacementAblationCtx(context.Background(), Options{}, names, cacheKB, scale)
-}
-
-// ReplacementAblationCtx is ReplacementAblation with cancellation and
-// options.
-func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]ReplRow, error) {
+func ReplacementAblation(ctx context.Context, opt Options, names []string, cacheKB, scale int) ([]ReplRow, error) {
 	if len(names) == 0 {
 		names = []string{"fft", "susan", "mpeg2_dec"}
 	}
@@ -647,7 +598,7 @@ func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, ca
 			return st.Misses, err
 		}
 		// Tune for the 2-way geometry.
-		res2, err := core.TuneCtx(ctx, tr, core.Config{
+		res2, err := core.Tune(ctx, tr, core.Config{
 			CacheBytes: cacheBytes, BlockBytes: BlockBytes, AddrBits: AddrBits,
 			Ways: 2, Family: hash.FamilyPermutation, MaxInputs: 2, Workers: opt.Workers,
 		}, opt.Events)
@@ -655,7 +606,7 @@ func ReplacementAblationCtx(ctx context.Context, opt Options, names []string, ca
 			return nil, err
 		}
 		// And for the direct-mapped geometry.
-		res1, err := core.TuneCtx(ctx, tr, core.Config{
+		res1, err := core.Tune(ctx, tr, core.Config{
 			CacheBytes: cacheBytes, BlockBytes: BlockBytes, AddrBits: AddrBits,
 			Family: hash.FamilyPermutation, MaxInputs: 2, Workers: opt.Workers,
 		}, opt.Events)
@@ -697,12 +648,7 @@ type ASLRRow struct {
 // address-space layout randomisation. Page-multiple shifts preserve the
 // intra-page conflict structure, so the tuned function should hold up;
 // re-tuning at the new base is the upper bound.
-func ASLRRobustness(bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
-	return ASLRRobustnessCtx(context.Background(), Options{}, bench, cacheKB, scale, deltas)
-}
-
-// ASLRRobustnessCtx is ASLRRobustness with cancellation and options.
-func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
+func ASLRRobustness(ctx context.Context, opt Options, bench string, cacheKB, scale int, deltas []uint64) ([]ASLRRow, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -717,22 +663,22 @@ func ASLRRobustnessCtx(ctx context.Context, opt Options, bench string, cacheKB, 
 		MaxInputs:  2,
 		NoFallback: true,
 	}
-	tuned, err := core.TuneCtx(ctx, base, cfg, opt.Events)
+	tuned, err := core.Tune(ctx, base, cfg, opt.Events)
 	if err != nil {
 		return nil, err
 	}
 	var rows []ASLRRow
 	for _, delta := range deltas {
 		moved := base.Rebase(delta)
-		baselineMisses, err := simulateWithCtx(ctx, moved, cfg, hash.Modulo(AddrBits, cfg.SetBits()))
+		baselineMisses, err := simulateWith(ctx, moved, cfg, hash.Modulo(AddrBits, cfg.SetBits()))
 		if err != nil {
 			return nil, err
 		}
-		staleMisses, err := simulateWithCtx(ctx, moved, cfg, tuned.Func)
+		staleMisses, err := simulateWith(ctx, moved, cfg, tuned.Func)
 		if err != nil {
 			return nil, err
 		}
-		re, err := core.TuneCtx(ctx, moved, cfg, opt.Events)
+		re, err := core.Tune(ctx, moved, cfg, opt.Events)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xoridx/internal/core"
+	"xoridx/internal/workloads"
 )
 
 // TestConcurrentDriversDifferentWorkerCounts runs two drivers at the
@@ -15,7 +16,7 @@ import (
 // carries its own setting and both must reproduce the sequential rows.
 func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 	names := []string{"fft"}
-	want, err := Table2For(names, false, 1)
+	want, err := Table2(context.Background(), Options{}, workloads.MediaSuite(), names, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +27,7 @@ func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 		wg.Add(1)
 		go func(i, workers int) {
 			defer wg.Done()
-			results[i], errs[i] = Table2ForCtx(context.Background(),
-				Options{Workers: workers}, names, false, 1)
+			results[i], errs[i] = Table2(context.Background(), Options{Workers: workers}, workloads.MediaSuite(), names, false, 1)
 		}(i, workers)
 	}
 	wg.Wait()
@@ -51,11 +51,11 @@ func TestConcurrentDriversDifferentWorkerCounts(t *testing.T) {
 func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Table2ForCtx(ctx, Options{}, []string{"fft"}, false, 1); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("Table2ForCtx error %v must wrap core.ErrCanceled", err)
+	if _, err := Table2(ctx, Options{}, workloads.MediaSuite(), []string{"fft"}, false, 1); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("Table2 error %v must wrap core.ErrCanceled", err)
 	}
-	if _, err := SizeSweepCtx(ctx, Options{}, "fft", []int{1024}, 1); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("SizeSweepCtx error %v must wrap core.ErrCanceled", err)
+	if _, err := SizeSweep(ctx, Options{}, "fft", []int{1024}, 1); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("SizeSweep error %v must wrap core.ErrCanceled", err)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestDriverEventsPlumbed(t *testing.T) {
 			mu.Unlock()
 		}
 	})}
-	if _, err := Table2ForCtx(context.Background(), opt, []string{"fft"}, false, 1); err != nil {
+	if _, err := Table2(context.Background(), opt, workloads.MediaSuite(), []string{"fft"}, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []core.Stage{core.StageSearch, core.StageValidate} {

@@ -16,7 +16,7 @@ func TestVerifyDeltaIdentity(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << 6))
 	}
-	p := profile.Build(blocks, 6, 8)
+	p := mustProfile(blocks, 6, 8)
 	for d := 1; d <= 3; d++ {
 		checked, err := VerifyDeltaIdentity(context.Background(), p, d)
 		if err != nil {
@@ -37,11 +37,12 @@ func TestVerifyDeltaIdentity(t *testing.T) {
 }
 
 func TestProfileBestBitSelectRejectsSparse(t *testing.T) {
-	sb := profile.NewSparseBuilder(30, 8)
-	for _, b := range []uint64{1, 2, 1, 2} {
-		sb.Add(b)
+	sparse, err := profile.Build(context.Background(), profile.Blocks([]uint64{1, 2, 1, 2}), 30, 8,
+		profile.Options{ForceSparse: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := ProfileBestBitSelect(sb.Finish(), 4)
+	_, err = ProfileBestBitSelect(sparse, 4)
 	if !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("sparse profile: err = %v, want ErrInvalidOptions", err)
 	}

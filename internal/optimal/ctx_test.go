@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"xoridx/internal/profile"
 	"xoridx/internal/xerr"
 )
 
@@ -27,7 +26,7 @@ func TestExactBitSelectCtxCanceled(t *testing.T) {
 }
 
 func TestProfileBestBitSelectCtxCanceled(t *testing.T) {
-	p := profile.Build(optCtxBlocks(), 12, 64)
+	p := mustProfile(optCtxBlocks(), 12, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ProfileBestBitSelectCtx(ctx, p, 6)
@@ -37,7 +36,7 @@ func TestProfileBestBitSelectCtxCanceled(t *testing.T) {
 }
 
 func TestExhaustiveXORCtxCanceled(t *testing.T) {
-	p := profile.Build(optCtxBlocks(), 10, 32)
+	p := mustProfile(optCtxBlocks(), 10, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ExhaustiveXORCtx(ctx, p, 5)
@@ -50,7 +49,7 @@ func TestOptimalTypedOptionErrors(t *testing.T) {
 	if _, err := ExactBitSelect(nil, 12, 0); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}
-	p := profile.Build([]uint64{1, 2, 3}, 10, 32)
+	p := mustProfile([]uint64{1, 2, 3}, 10, 32)
 	if _, err := ProfileBestBitSelect(p, 10); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=n error %v must wrap ErrInvalidOptions", err)
 	}

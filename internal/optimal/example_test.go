@@ -1,6 +1,7 @@
 package optimal_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/optimal"
@@ -34,7 +35,10 @@ func Example_exhaustiveXOR() {
 			blocks = append(blocks, i*16)
 		}
 	}
-	p := profile.Build(blocks, 8, 16)
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), 8, 16, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
 	res, err := optimal.ExhaustiveXOR(p, 4)
 	if err != nil {
 		panic(err)

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -10,6 +11,16 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 )
+
+// mustProfile is the exact sequential profile.Build of an in-memory
+// trace, panicking on an invalid geometry — a test shorthand.
+func mustProfile(blocks []uint64, n, cacheBlocks int) *profile.Profile {
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), n, cacheBlocks, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 func TestEnumerateMasks(t *testing.T) {
 	masks := enumerateMasks(6, 3)
@@ -149,7 +160,7 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 		blocks[i] = uint64(rng.Intn(1024))
 	}
 	n, m := 10, 5
-	p := profile.Build(blocks, n, 1<<uint(m))
+	p := mustProfile(blocks, n, 1<<uint(m))
 	res, err := ProfileBestBitSelect(p, m)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +189,7 @@ func TestProfileBestBitSelectMatchesExhaustiveEstimate(t *testing.T) {
 }
 
 func TestProfileBestBitSelectValidation(t *testing.T) {
-	p := profile.Build([]uint64{1, 2}, 8, 16)
+	p := mustProfile([]uint64{1, 2}, 8, 16)
 	if _, err := ProfileBestBitSelect(p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}

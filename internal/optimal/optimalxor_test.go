@@ -6,7 +6,6 @@ import (
 
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
-	"xoridx/internal/profile"
 	"xoridx/internal/search"
 )
 
@@ -98,7 +97,7 @@ func TestExhaustiveXORBeatsOrMatchesEverything(t *testing.T) {
 		}
 	}
 	n, m := 9, 5
-	p := profile.Build(blocks, n, 1<<uint(m))
+	p := mustProfile(blocks, n, 1<<uint(m))
 	opt, err := ExhaustiveXOR(p, m)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 			blocks = append(blocks, i*16)
 		}
 	}
-	p := profile.Build(blocks, 9, 32)
+	p := mustProfile(blocks, 9, 32)
 	opt, err := ExhaustiveXOR(p, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestHillClimbingNearOptimal(t *testing.T) {
 }
 
 func TestExhaustiveXORValidation(t *testing.T) {
-	p := profile.Build([]uint64{1, 2, 3}, 14, 16)
+	p := mustProfile([]uint64{1, 2, 3}, 14, 16)
 	if _, err := ExhaustiveXOR(p, 0); err == nil {
 		t.Error("m=0 should fail")
 	}

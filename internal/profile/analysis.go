@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,9 +33,12 @@ type Analysis struct {
 // additionally records the top conflicting block pairs whose XOR falls
 // among the topVectors hottest conflict vectors. Memory is bounded by
 // the number of distinct hot pairs, which the hot-vector filter keeps
-// small.
+// small. Like NewBuilder, it panics on an out-of-range geometry.
 func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int) *Analysis {
-	p := Build(blocks, n, cacheBlocks)
+	p, err := Build(context.Background(), Blocks(blocks), n, cacheBlocks, Options{})
+	if err != nil {
+		panic(err)
+	}
 	hot := p.HotVectors(topVectors)
 	hotSet := make(map[uint64]bool, len(hot))
 	for _, vc := range hot {

@@ -36,11 +36,6 @@ const (
 	checkpointVersion = 1
 )
 
-// DefaultCheckpointEvery is the snapshot cadence of
-// BuildCheckpointedCtx when CheckpointOptions.Every is zero: one
-// snapshot per 2^20 profiled accesses.
-const DefaultCheckpointEvery = 1 << 20
-
 // Pos returns the number of accesses the builder has consumed — the
 // stream position a resumed build must skip to.
 func (bd *Builder) Pos() uint64 { return bd.p.Accesses }
@@ -269,169 +264,31 @@ func RestoreFile(path string) (*Builder, error) {
 	return Restore(f)
 }
 
-// CheckpointOptions configures BuildCheckpointedCtx.
-type CheckpointOptions struct {
-	// Path is the snapshot file; empty disables persistence (the build
-	// still degrades gracefully on cancellation).
-	Path string
-	// Every is the snapshot cadence in accesses (0 selects
-	// DefaultCheckpointEvery).
-	Every uint64
-	// Resume restores Path if it exists and skips the accesses the
-	// snapshot already consumed before profiling the rest.
-	Resume bool
-	// Retry, when MaxRetries > 0, retries transient source failures
-	// (errors wrapping xerr.ErrIO) with capped backoff before giving
-	// up.
-	Retry faultio.Policy
-	// ChunkSize is the read granularity in accesses (0 selects
-	// DefaultChunkSize).
-	ChunkSize int
-}
-
-// BuildCheckpointedCtx profiles a block stream sequentially with
-// periodic atomic snapshots, transient-fault retry and graceful
-// degradation:
-//
-//   - every Every accesses the builder state is written to Path, so a
-//     crashed or killed run resumes from the last boundary;
-//   - with Resume set, an existing snapshot is restored and the
-//     source's already-profiled prefix is skipped — the final profile
-//     is bit-identical to an uninterrupted run;
-//   - transient source errors are retried under Retry; exhausted
-//     retries and corrupt input fail the build;
-//   - on cancellation the best-so-far profile is snapshotted (when
-//     Path is set) and returned alongside the wrapped ErrCanceled,
-//     marked Degraded with its Accesses counter telling how far it
-//     got.
-func BuildCheckpointedCtx(ctx context.Context, src BlockSource, n, cacheBlocks int, opt CheckpointOptions) (*Profile, error) {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
+// restoreSnapshot loads the snapshot a resuming build continues from:
+// nil (a cold start) when the options do not resume or the file does
+// not exist yet. A snapshot of another geometry or histogram backend
+// is a wrapped xerr.ErrProfileMismatch, rejected before any source is
+// read.
+func restoreSnapshot(opt Options, n, cacheBlocks int) (*Builder, error) {
+	if !opt.Resume || opt.Checkpoint == "" {
+		return nil, nil
+	}
+	bd, err := RestoreFile(opt.Checkpoint)
+	switch {
+	case err == nil:
+	case os.IsNotExist(err):
+		return nil, nil
+	default:
 		return nil, err
 	}
-	if err := opt.Retry.Validate(); err != nil {
-		return nil, err
+	if bd.p.N != n || bd.p.CacheBlocks != cacheBlocks {
+		return nil, fmt.Errorf("profile: snapshot geometry (n=%d, %d blocks) does not match build (n=%d, %d blocks): %w",
+			bd.p.N, bd.p.CacheBlocks, n, cacheBlocks, xerr.ErrProfileMismatch)
 	}
-	if opt.Every == 0 {
-		opt.Every = DefaultCheckpointEvery
+	if (bd.p.Sparse != nil) != opt.sparse(n) {
+		return nil, fmt.Errorf("profile: snapshot histogram backend does not match build options: %w", xerr.ErrProfileMismatch)
 	}
-	if opt.ChunkSize <= 0 {
-		opt.ChunkSize = DefaultChunkSize
-	}
-	bd := NewBuilder(n, cacheBlocks)
-	if opt.Resume && opt.Path != "" {
-		restored, err := RestoreFile(opt.Path)
-		switch {
-		case err == nil:
-			if restored.p.N != n || restored.p.CacheBlocks != cacheBlocks {
-				return nil, fmt.Errorf("profile: snapshot geometry (n=%d, %d blocks) does not match build (n=%d, %d blocks): %w",
-					restored.p.N, restored.p.CacheBlocks, n, cacheBlocks, xerr.ErrProfileMismatch)
-			}
-			bd = restored
-		case os.IsNotExist(err):
-			// Cold start: no snapshot yet.
-		default:
-			return nil, err
-		}
-	}
-	if opt.Retry.MaxRetries > 0 {
-		src = RetrySource(ctx, src, opt.Retry)
-	}
-	buf := make([]uint64, opt.ChunkSize)
-	// Skip the prefix a restored snapshot already consumed.
-	for skip := bd.Pos(); skip > 0; {
-		want := uint64(len(buf))
-		if skip < want {
-			want = skip
-		}
-		k, err := src(buf[:want])
-		if k > 0 {
-			skip -= uint64(k)
-		}
-		if err == io.EOF && skip > 0 {
-			return nil, fmt.Errorf("profile: source ended %d accesses before the snapshot position %d: %w",
-				skip, bd.Pos(), xerr.ErrFormat)
-		}
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		if k == 0 && err == nil {
-			return nil, fmt.Errorf("profile: block source returned no data and no error: %w", xerr.ErrFormat)
-		}
-	}
-	sinceCkpt := uint64(0)
-	degraded := func(cause error) (*Profile, error) {
-		if opt.Path != "" {
-			if werr := CheckpointFile(opt.Path, bd); werr != nil {
-				return nil, fmt.Errorf("profile: snapshotting on cancellation: %w (after %w)", werr, cause)
-			}
-		}
-		p := bd.Finish()
-		p.Degraded = true
-		return p, cause
-	}
-	for {
-		if err := xerr.Check(ctx); err != nil {
-			return degraded(err)
-		}
-		k, err := src(buf)
-		for _, blk := range buf[:k] {
-			bd.Add(blk)
-		}
-		sinceCkpt += uint64(k)
-		if opt.Path != "" && sinceCkpt >= opt.Every {
-			if err := CheckpointFile(opt.Path, bd); err != nil {
-				return nil, err
-			}
-			sinceCkpt = 0
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			return nil, fmt.Errorf("profile: block source returned no data and no error: %w", xerr.ErrFormat)
-		}
-	}
-	if opt.Path != "" {
-		// Final snapshot: a resume of a completed run replays nothing.
-		if err := CheckpointFile(opt.Path, bd); err != nil {
-			return nil, err
-		}
-	}
-	return bd.Finish(), nil
-}
-
-// BuildStreamCheckpointedCtx is the sharded analog of
-// BuildCheckpointedCtx: BuildStreamCtx's worker fan-out plus periodic
-// atomic snapshots of the reconciled prefix. The snapshot format is the
-// sequential one — the reconciler's (profile, boundary stack) pair at a
-// shard boundary is exactly a sequential Builder's state at that access
-// position — so sequential and parallel runs can resume each other's
-// snapshots, and a resumed build is bit-identical to an uninterrupted
-// one even when the resume uses different worker counts or chunk sizes
-// (shard boundaries don't affect the result). On cancellation the
-// reconciled prefix is snapshotted (when Path is set) and returned
-// Degraded alongside the wrapped ErrCanceled, mirroring the sequential
-// semantics; note the parallel Degraded profile covers the reconciled
-// chunk prefix, not every access the workers had consumed.
-//
-// Sharding, backend and retry controls come from opt; copt supplies
-// Path, Every and Resume (its Retry and ChunkSize are fallbacks used
-// only when opt leaves them zero).
-func BuildStreamCheckpointedCtx(ctx context.Context, src BlockSource, n, cacheBlocks int, opt ParallelOptions, copt CheckpointOptions) (*Profile, error) {
-	ck := &streamCheckpoint{path: copt.Path, every: copt.Every, resume: copt.Resume}
-	if ck.every == 0 {
-		ck.every = DefaultCheckpointEvery
-	}
-	if opt.Retry.MaxRetries == 0 {
-		opt.Retry = copt.Retry
-	}
-	if opt.ChunkSize <= 0 {
-		opt.ChunkSize = copt.ChunkSize
-	}
-	return buildStream(ctx, src, n, cacheBlocks, opt, ck)
+	return bd, nil
 }
 
 // checkpoint writes the reconciled prefix with the sequential snapshot
@@ -448,42 +305,12 @@ func (rc *reconciler) checkpointFile(path string) error {
 	return ckpt.WriteFileAtomic(path, rc.checkpoint)
 }
 
-// restore seeds the reconciler from an existing snapshot when resuming:
-// the merged-so-far profile and the boundary stack are exactly what the
-// snapshot stores. A missing file is a cold start; geometry or backend
-// mismatches are rejected before any worker starts.
-func (rc *reconciler) restore(ck *streamCheckpoint, n, cacheBlocks int, sparse bool) error {
-	if !ck.resume || ck.path == "" {
-		return nil
-	}
-	restored, err := RestoreFile(ck.path)
-	switch {
-	case err == nil:
-	case os.IsNotExist(err):
-		return nil
-	default:
-		return err
-	}
-	if restored.p.N != n || restored.p.CacheBlocks != cacheBlocks {
-		return fmt.Errorf("profile: snapshot geometry (n=%d, %d blocks) does not match build (n=%d, %d blocks): %w",
-			restored.p.N, restored.p.CacheBlocks, n, cacheBlocks, xerr.ErrProfileMismatch)
-	}
-	if (restored.p.Sparse != nil) != sparse {
-		return fmt.Errorf("profile: snapshot histogram backend does not match build options: %w", xerr.ErrProfileMismatch)
-	}
-	rc.out = restored.p
-	rc.bound = restored.stack
-	return nil
-}
-
 // degraded snapshots and returns the reconciled prefix when a
-// checkpointed stream build is canceled, mirroring
-// BuildCheckpointedCtx's graceful degradation.
-func (rc *reconciler) degraded(ck *streamCheckpoint, cause error) (*Profile, error) {
-	if ck.path != "" {
-		if werr := rc.checkpointFile(ck.path); werr != nil {
-			return nil, fmt.Errorf("profile: snapshotting on cancellation: %w (after %w)", werr, cause)
-		}
+// checkpointed sharded build is canceled, mirroring the sequential
+// engine's graceful degradation.
+func (rc *reconciler) degraded(path string, cause error) (*Profile, error) {
+	if werr := rc.checkpointFile(path); werr != nil {
+		return nil, fmt.Errorf("profile: snapshotting on cancellation: %w (after %w)", werr, cause)
 	}
 	rc.out.Degraded = true
 	return rc.out, cause

@@ -58,7 +58,7 @@ func TestCheckpointRestoreMidBuild(t *testing.T) {
 
 func TestCheckpointSparseBackendRoundTrip(t *testing.T) {
 	blocks := syntheticBlocks(5000)
-	bd := NewSparseBuilder(32, 64)
+	bd := newBuilder(32, 64, true)
 	for _, b := range blocks {
 		bd.Add(b)
 	}
@@ -222,7 +222,7 @@ func cancelAfterSource(blocks []uint64, limit int, cancel context.CancelFunc) Bl
 // bit-identical to an uninterrupted sequential Build.
 func TestBuildCheckpointedKillResume(t *testing.T) {
 	blocks := syntheticBlocks(40000)
-	want := Build(blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
 	path := filepath.Join(t.TempDir(), "profile.ckpt")
 	kills := []int{700, 9000, 25000}
 	runs := 0
@@ -236,9 +236,8 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildCheckpointedCtx(ctx, src, 12, 64, CheckpointOptions{
-			Path: path, Every: 1000, Resume: true, ChunkSize: 512,
-		})
+		p, err := Build(ctx, Stream(src), 12, 64,
+			Options{Checkpoint: path, CheckpointEvery: 1000, Resume: true, ChunkSize: 512})
 		runs++
 		if attempt < len(kills) {
 			wantCanceled(t, err)
@@ -262,9 +261,8 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 	}
 	// Resuming a completed run replays nothing and returns the same
 	// profile again.
-	again, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64, CheckpointOptions{
-		Path: path, Resume: true,
-	})
+	again, err := Build(context.Background(), Stream(sliceSource(blocks)), 12, 64,
+		Options{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +273,9 @@ func TestBuildCheckpointedKillResume(t *testing.T) {
 
 func TestBuildCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
-	want := Build(blocks, 12, 64)
-	got, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64, CheckpointOptions{})
+	want := buildBlocks(blocks, 12, 64)
+	got, err := Build(context.Background(), Stream(sliceSource(blocks)), 12, 64,
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +294,8 @@ func TestBuildCheckpointedSourceShorterThanSnapshot(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks[:100]), 12, 64, CheckpointOptions{
-		Path: path, Resume: true,
-	})
+	_, err := Build(context.Background(), Stream(sliceSource(blocks[:100])), 12, 64,
+		Options{Checkpoint: path, Resume: true})
 	if !errors.Is(err, xerr.ErrFormat) {
 		t.Fatalf("short source: err = %v, want wrapped ErrFormat", err)
 	}
@@ -310,9 +308,8 @@ func TestBuildCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 10, 64, CheckpointOptions{
-		Path: path, Resume: true,
-	})
+	_, err := Build(context.Background(), Stream(sliceSource([]uint64{1})), 10, 64,
+		Options{Checkpoint: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
@@ -335,12 +332,11 @@ func transientSource(blocks []uint64, faults *int) BlockSource {
 
 func TestBuildCheckpointedRetriesTransientSource(t *testing.T) {
 	blocks := syntheticBlocks(20000)
-	want := Build(blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
 	faults := 0
-	got, err := BuildCheckpointedCtx(context.Background(), transientSource(blocks, &faults), 12, 64, CheckpointOptions{
-		Retry:     faultio.Policy{MaxRetries: 2},
-		ChunkSize: 512,
-	})
+	got, err := Build(context.Background(), Stream(transientSource(blocks, &faults)), 12, 64,
+		Options{Retry: faultio.Policy{MaxRetries: 2},
+			ChunkSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +350,8 @@ func TestBuildCheckpointedRetriesTransientSource(t *testing.T) {
 
 func TestRetrySourceExhaustionFailsBuild(t *testing.T) {
 	src := func(dst []uint64) (int, error) { return 0, xerr.ErrIO }
-	_, err := BuildCheckpointedCtx(context.Background(), src, 12, 64, CheckpointOptions{
-		Retry: faultio.Policy{MaxRetries: 3},
-	})
+	_, err := Build(context.Background(), Stream(src), 12, 64,
+		Options{Retry: faultio.Policy{MaxRetries: 3}})
 	if !errors.Is(err, xerr.ErrIO) {
 		t.Fatalf("exhausted retries: err = %v, want wrapped ErrIO", err)
 	}
@@ -396,10 +391,10 @@ func TestRetrySourceDeliversPartialChunkBeforeRetrying(t *testing.T) {
 func TestBuildCtxReturnsDegradedPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := BuildCtx(ctx, syntheticBlocks(100), 12, 64)
+	p, err := Build(ctx, Blocks(syntheticBlocks(100)), 12, 64, Options{})
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
-		t.Fatalf("canceled BuildCtx returned p=%v, want a Degraded partial profile", p)
+		t.Fatalf("canceled sequential Build returned p=%v, want a Degraded partial profile", p)
 	}
 }
 
@@ -407,7 +402,7 @@ func TestShardRunConvertsPanic(t *testing.T) {
 	testShardHook = func(int) { panic("boom") }
 	defer func() { testShardHook = nil }()
 	s := &shardState{idx: 3, blocks: []uint64{1, 2, 3}}
-	s.run(context.Background(), 8, 4, ParallelOptions{})
+	s.run(context.Background(), 8, 4, Options{})
 	if !errors.Is(s.err, xerr.ErrPanic) {
 		t.Fatalf("recovered panic: err = %v, want wrapped ErrPanic", s.err)
 	}
@@ -427,7 +422,7 @@ func TestShardRunConvertsPanic(t *testing.T) {
 // reconciled state).
 func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 	blocks := syntheticBlocks(40000)
-	want := Build(blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
 	path := filepath.Join(t.TempDir(), "profile.ckpt")
 	kills := []int{900, 11000, 26000}
 	var got *Profile
@@ -440,9 +435,9 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 		if attempt < len(kills) {
 			src = cancelAfterSource(blocks, kills[attempt], cancel)
 		}
-		p, err := BuildStreamCheckpointedCtx(ctx, src, 12, 64,
-			ParallelOptions{Workers: 1 + attempt, ChunkSize: 300 + 170*attempt},
-			CheckpointOptions{Path: path, Every: 1500, Resume: true})
+		p, err := Build(ctx, Stream(src), 12, 64,
+			Options{Workers: 1 + attempt, ChunkSize: 300 + 170*attempt,
+				Checkpoint: path, CheckpointEvery: 1500, Resume: true})
 		if attempt < len(kills) {
 			wantCanceled(t, err)
 			if p == nil || !p.Degraded {
@@ -461,9 +456,9 @@ func TestBuildStreamCheckpointedKillResume(t *testing.T) {
 
 func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 	blocks := syntheticBlocks(20000)
-	want := Build(blocks, 12, 64)
-	got, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		ParallelOptions{Workers: 3, ChunkSize: 640}, CheckpointOptions{})
+	want := buildBlocks(blocks, 12, 64)
+	got, err := Build(context.Background(), Stream(sliceSource(blocks)), 12, 64,
+		Options{Workers: 3, ChunkSize: 640})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,21 +473,20 @@ func TestBuildStreamCheckpointedMatchesBuildWithoutPath(t *testing.T) {
 // sequential builder and vice versa, both converging bit-identically.
 func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	blocks := syntheticBlocks(30000)
-	want := Build(blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
 
 	// Parallel partial → sequential finish.
 	path := filepath.Join(t.TempDir(), "p2s.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := BuildStreamCheckpointedCtx(ctx, cancelAfterSource(blocks, 12000, cancel), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: 512},
-		CheckpointOptions{Path: path, Every: 2000, Resume: true})
+	p, err := Build(ctx, Stream(cancelAfterSource(blocks, 12000, cancel)), 12, 64,
+		Options{Workers: 4, ChunkSize: 512, Checkpoint: path, CheckpointEvery: 2000, Resume: true})
 	cancel()
 	wantCanceled(t, err)
 	if p == nil || !p.Degraded {
 		t.Fatalf("killed parallel run returned p=%v err=%v, want a degraded partial", p, err)
 	}
-	got, err := BuildCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		CheckpointOptions{Path: path, Resume: true, ChunkSize: 512})
+	got, err := Build(context.Background(), Stream(sliceSource(blocks)), 12, 64,
+		Options{Checkpoint: path, Resume: true, ChunkSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,16 +497,15 @@ func TestParallelSequentialSnapshotInterop(t *testing.T) {
 	// Sequential partial → parallel finish.
 	path2 := filepath.Join(t.TempDir(), "s2p.ckpt")
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	p2, err := BuildCheckpointedCtx(ctx2, cancelAfterSource(blocks, 9000, cancel2), 12, 64,
-		CheckpointOptions{Path: path2, Every: 1000, Resume: true, ChunkSize: 256})
+	p2, err := Build(ctx2, Stream(cancelAfterSource(blocks, 9000, cancel2)), 12, 64,
+		Options{Checkpoint: path2, CheckpointEvery: 1000, Resume: true, ChunkSize: 256})
 	cancel2()
 	wantCanceled(t, err)
 	if p2 == nil || !p2.Degraded {
 		t.Fatalf("killed sequential run returned p=%v err=%v, want a degraded partial", p2, err)
 	}
-	got2, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), 12, 64,
-		ParallelOptions{Workers: 3, ChunkSize: 777},
-		CheckpointOptions{Path: path2, Resume: true})
+	got2, err := Build(context.Background(), Stream(sliceSource(blocks)), 12, 64,
+		Options{Workers: 3, ChunkSize: 777, Checkpoint: path2, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,14 +521,14 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 	if err := CheckpointFile(path, bd); err != nil {
 		t.Fatal(err)
 	}
-	_, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 10, 64,
-		ParallelOptions{Workers: 2}, CheckpointOptions{Path: path, Resume: true})
+	_, err := Build(context.Background(), Stream(sliceSource([]uint64{1})), 10, 64,
+		Options{Workers: 2, Checkpoint: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("geometry mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
 	// Same geometry, different backend: also a mismatch, not corruption.
-	_, err = BuildStreamCheckpointedCtx(context.Background(), sliceSource([]uint64{1}), 12, 64,
-		ParallelOptions{Workers: 2, ForceSparse: true}, CheckpointOptions{Path: path, Resume: true})
+	_, err = Build(context.Background(), Stream(sliceSource([]uint64{1})), 12, 64,
+		Options{Workers: 2, ForceSparse: true, Checkpoint: path, Resume: true})
 	if !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("backend mismatch: err = %v, want wrapped ErrProfileMismatch", err)
 	}
@@ -548,7 +541,7 @@ func TestBuildStreamCheckpointedGeometryMismatch(t *testing.T) {
 // classified ErrIO — not a secondary cancellation — and a nil profile.
 func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	blocks := syntheticBlocks(8192)
-	want := Build(blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
 	const chunk = 1024 // faults land inside shard 2's range [2048, 3072)
 	mkSrc := func(maxFaults int, faults *int) BlockSource {
 		pos := 0
@@ -567,8 +560,8 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	faults := 0
-	p, err := BuildStreamCtx(context.Background(), mkSrc(3, &faults), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: chunk, Retry: faultio.Policy{MaxRetries: 5}})
+	p, err := Build(context.Background(), Stream(mkSrc(3, &faults)), 12, 64,
+		Options{Workers: 4, ChunkSize: chunk, Retry: faultio.Policy{MaxRetries: 5}})
 	if err != nil {
 		t.Fatalf("retried transient shard fault failed the build: %v", err)
 	}
@@ -581,8 +574,8 @@ func TestStreamShardTransientFaultIsolated(t *testing.T) {
 	waitGoroutines(t, baseline)
 
 	faults = 0
-	p, err = BuildStreamCtx(context.Background(), mkSrc(100, &faults), 12, 64,
-		ParallelOptions{Workers: 4, ChunkSize: chunk})
+	p, err = Build(context.Background(), Stream(mkSrc(100, &faults)), 12, 64,
+		Options{Workers: 4, ChunkSize: chunk})
 	if p != nil {
 		t.Fatal("failed build must not return a profile")
 	}
@@ -611,7 +604,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := enc.Bytes()
-	want := Build(tr.Blocks(64, 12), 12, 64)
+	want := buildBlocks(tr.Blocks(64, 12), 12, 64)
 
 	schedules := []struct {
 		name      string
@@ -650,8 +643,8 @@ func TestStreamFaultMatrix(t *testing.T) {
 					return
 				}
 				src := func(dst []uint64) (int, error) { return rd.ReadBlocks(dst, 64, 12) }
-				p, err := BuildStreamCtx(context.Background(), src, 12, 64,
-					ParallelOptions{Workers: workers, ChunkSize: 256, Retry: faultio.Policy{MaxRetries: 4}})
+				p, err := Build(context.Background(), Stream(src), 12, 64,
+					Options{Workers: workers, ChunkSize: 256, Retry: faultio.Policy{MaxRetries: 4}})
 				waitGoroutines(t, baseline)
 				if sc.transient {
 					if err != nil {

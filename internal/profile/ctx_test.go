@@ -50,8 +50,8 @@ func wantCanceled(t *testing.T, err error) {
 
 func TestBuildCtxMatchesBuild(t *testing.T) {
 	blocks := syntheticBlocks(20000)
-	want := Build(blocks, 12, 64)
-	got, err := BuildCtx(context.Background(), blocks, 12, 64)
+	want := buildBlocks(blocks, 12, 64)
+	got, err := Build(context.Background(), Blocks(blocks), 12, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBuildCtxMatchesBuild(t *testing.T) {
 func TestBuildCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildCtx(ctx, syntheticBlocks(100), 12, 64)
+	_, err := Build(ctx, Blocks(syntheticBlocks(100)), 12, 64, Options{})
 	wantCanceled(t, err)
 }
 
@@ -72,7 +72,7 @@ func TestBuildParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// 2 workers x 10000 accesses: each shard crosses the periodic check.
-	_, err := BuildParallelCtx(ctx, syntheticBlocks(20000), 12, 64, ParallelOptions{Workers: 2})
+	_, err := Build(ctx, Blocks(syntheticBlocks(20000)), 12, 64, Options{Workers: 2})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -85,7 +85,7 @@ func TestBuildStreamCtxCanceledBeforeRead(t *testing.T) {
 		t.Error("source must not be read under a canceled context")
 		return 0, io.EOF
 	}
-	_, err := BuildStreamCtx(ctx, src, 12, 64, ParallelOptions{Workers: 2})
+	_, err := Build(ctx, Stream(src), 12, 64, Options{Workers: 2})
 	wantCanceled(t, err)
 	waitGoroutines(t, baseline)
 }
@@ -106,7 +106,7 @@ func TestBuildParallelCtxCancelDuringExchange(t *testing.T) {
 	}
 	defer func() { testShardHook = nil }()
 	// 4 shards x 30000 accesses: every shard crosses the periodic check.
-	p, err := BuildParallelCtx(ctx, syntheticBlocks(120000), 12, 64, ParallelOptions{Workers: 4})
+	p, err := Build(ctx, Blocks(syntheticBlocks(120000)), 12, 64, Options{Workers: 4})
 	wantCanceled(t, err)
 	if p != nil {
 		t.Fatal("canceled parallel build must not return a profile")
@@ -128,8 +128,8 @@ func TestBuildStreamCtxCancelDuringMerge(t *testing.T) {
 		}
 	}
 	defer func() { testShardHook = nil }()
-	p, err := BuildStreamCtx(ctx, sliceSource(syntheticBlocks(100000)), 12, 64,
-		ParallelOptions{Workers: 3, ChunkSize: 8192})
+	p, err := Build(ctx, Stream(sliceSource(syntheticBlocks(100000))), 12, 64,
+		Options{Workers: 3, ChunkSize: 8192})
 	wantCanceled(t, err)
 	if p != nil {
 		t.Fatal("canceled stream build without a checkpoint must not return a profile")
@@ -151,7 +151,7 @@ func TestBuildStreamCtxCanceledMidStream(t *testing.T) {
 		k := copy(dst, blocks)
 		return k, nil
 	}
-	_, err := BuildStreamCtx(ctx, src, 12, 64, ParallelOptions{Workers: 2, ChunkSize: len(blocks)})
+	_, err := Build(ctx, Stream(src), 12, 64, Options{Workers: 2, ChunkSize: len(blocks)})
 	wantCanceled(t, err)
 	if reads > 3 {
 		t.Errorf("dispatcher kept reading after cancellation: %d reads", reads)

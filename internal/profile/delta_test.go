@@ -21,7 +21,7 @@ func randomConflictProfile(r *rand.Rand, n, cacheBlocks, accesses int) *Profile 
 	for i := range blocks {
 		blocks[i] = uint64(r.Intn(1 << uint(space)))
 	}
-	return Build(blocks, n, cacheBlocks)
+	return buildBlocks(blocks, n, cacheBlocks)
 }
 
 // randomSubspaceDim returns a random subspace of exactly dim d.
@@ -105,12 +105,8 @@ func TestSparseFlatDifferential(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = uint64(r.Intn(1 << uint(n)))
 		}
-		flat := Build(blocks, n, cacheBlocks)
-		sb := NewSparseBuilder(n, cacheBlocks)
-		for _, b := range blocks {
-			sb.Add(b)
-		}
-		sparse := sb.Finish()
+		flat := buildBlocks(blocks, n, cacheBlocks)
+		sparse := mustBuild(Blocks(blocks), n, cacheBlocks, Options{ForceSparse: true})
 		if flat.Sparse != nil || sparse.Table != nil {
 			t.Fatal("backend selection wrong")
 		}
@@ -160,7 +156,7 @@ func TestSparseWideAddressSmoke(t *testing.T) {
 	for rep := 0; rep < 8; rep++ {
 		blocks = append(blocks, ws...)
 	}
-	p := Build(blocks, n, len(ws))
+	p := buildBlocks(blocks, n, len(ws))
 	if p.Table != nil || p.Sparse == nil {
 		t.Fatal("n=40 must select the sparse backend")
 	}
@@ -176,7 +172,7 @@ func TestSparseWideAddressSmoke(t *testing.T) {
 	if conv == 0 || conv != want {
 		t.Fatalf("conventional estimate = %d, support oracle = %d", conv, want)
 	}
-	o := Build(blocks, n, len(ws))
+	o := buildBlocks(blocks, n, len(ws))
 	if err := p.Merge(o); err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +186,9 @@ func TestSparseWideAddressSmoke(t *testing.T) {
 
 // TestMergeBackendMismatch pins the flat-vs-sparse merge error.
 func TestMergeBackendMismatch(t *testing.T) {
-	flat := Build([]uint64{1, 2, 1, 2}, 8, 4)
-	sb := NewSparseBuilder(8, 4)
-	for _, b := range []uint64{1, 2, 1, 2} {
-		sb.Add(b)
-	}
-	if err := flat.Merge(sb.Finish()); !errors.Is(err, xerr.ErrProfileMismatch) {
+	flat := buildBlocks([]uint64{1, 2, 1, 2}, 8, 4)
+	sparse := mustBuild(Blocks([]uint64{1, 2, 1, 2}), 8, 4, Options{ForceSparse: true})
+	if err := flat.Merge(sparse); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging sparse into flat: err = %v, want ErrProfileMismatch", err)
 	}
 }

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/gf2"
@@ -14,7 +15,11 @@ func Example_estimate() {
 	for i := 0; i < 50; i++ {
 		blocks = append(blocks, 0, 256) // conflict vector 1_0000_0000
 	}
-	p := profile.Build(blocks, 16, 256)
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), 16, 256, profile.Options{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	conventional := gf2.Identity(16, 8)
 	fmt.Println("modulo estimate:", p.EstimateMatrix(conventional))

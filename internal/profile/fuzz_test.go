@@ -43,7 +43,7 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 		n := 4 + int(nRaw)%8              // 4..11
 		cacheBlocks := 1 + int(capRaw)%64 // 1..64
 		blocks := fuzzBlocks(data)
-		want := Build(blocks, n, cacheBlocks)
+		want := buildBlocks(blocks, n, cacheBlocks)
 		for workers := 1; workers <= 8; workers++ {
 			got := mustParallel(t, blocks, n, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
@@ -51,8 +51,8 @@ func FuzzBuildParallelWorkers(f *testing.F) {
 					workers, n, cacheBlocks, len(blocks), d)
 			}
 		}
-		got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 3, ChunkSize: 17})
+		got, err := Build(context.Background(), Stream(sliceSource(blocks)), n, cacheBlocks,
+			Options{Workers: 3, ChunkSize: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func FuzzShardMerge(f *testing.F) {
 		n := 4 + int(nRaw)%8
 		cacheBlocks := 1 + int(capRaw)%64
 		blocks := fuzzBlocks(data)
-		want := Build(blocks, n, cacheBlocks)
+		want := buildBlocks(blocks, n, cacheBlocks)
 
 		cutSet := map[int]struct{}{}
 		for _, c := range cuts {
@@ -89,11 +89,11 @@ func FuzzShardMerge(f *testing.F) {
 		sort.Ints(points)
 		points = append(points, len(blocks))
 
-		rc := newReconciler(n, cacheBlocks, ParallelOptions{})
+		rc := newReconciler(n, cacheBlocks, Options{})
 		prev := 0
 		for idx, cut := range points {
 			s := &shardState{idx: idx, blocks: blocks[prev:cut]}
-			s.run(context.Background(), n, cacheBlocks, ParallelOptions{})
+			s.run(context.Background(), n, cacheBlocks, Options{})
 			if s.err != nil {
 				t.Fatal(s.err)
 			}
@@ -131,7 +131,7 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, killRaw uint16, wRaw, chunkRaw uint8) {
 		const n, cacheBlocks = 10, 16
 		blocks := fuzzBlocks(data)
-		want := Build(blocks, n, cacheBlocks)
+		want := buildBlocks(blocks, n, cacheBlocks)
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
 
 		kill := 0
@@ -139,14 +139,13 @@ func FuzzParallelCheckpointResume(f *testing.F) {
 			kill = int(killRaw) % len(blocks)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		BuildStreamCheckpointedCtx(ctx, cancelAfterSource(blocks, kill, cancel), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + int(wRaw)%4, ChunkSize: 1 + int(chunkRaw)%64},
-			CheckpointOptions{Path: path, Every: 1 + uint64(killRaw)%97, Resume: true})
+		Build(ctx, Stream(cancelAfterSource(blocks, kill, cancel)), n, cacheBlocks,
+			Options{Workers: 1 + int(wRaw)%4, ChunkSize: 1 + int(chunkRaw)%64,
+				Checkpoint: path, CheckpointEvery: 1 + uint64(killRaw)%97, Resume: true})
 		cancel()
 
-		got, err := BuildStreamCheckpointedCtx(context.Background(), sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + int(chunkRaw)%5, ChunkSize: 1 + int(wRaw)%77},
-			CheckpointOptions{Path: path, Resume: true})
+		got, err := Build(context.Background(), Stream(sliceSource(blocks)), n, cacheBlocks,
+			Options{Workers: 1 + int(chunkRaw)%5, ChunkSize: 1 + int(wRaw)%77, Checkpoint: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}

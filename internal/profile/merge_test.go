@@ -10,8 +10,8 @@ import (
 )
 
 func TestMergeRejectsMismatchedN(t *testing.T) {
-	a := Build([]uint64{1, 2, 1}, 8, 4)
-	b := Build([]uint64{1, 2, 1}, 9, 4)
+	a := buildBlocks([]uint64{1, 2, 1}, 8, 4)
+	b := buildBlocks([]uint64{1, 2, 1}, 9, 4)
 	err := a.Merge(b)
 	if err == nil || !strings.Contains(err.Error(), "cannot merge n=9") {
 		t.Fatalf("err = %v, want mismatched-n rejection", err)
@@ -19,8 +19,8 @@ func TestMergeRejectsMismatchedN(t *testing.T) {
 }
 
 func TestMergeRejectsMismatchedCapacity(t *testing.T) {
-	a := Build([]uint64{1, 2, 1}, 8, 4)
-	b := Build([]uint64{1, 2, 1}, 8, 8)
+	a := buildBlocks([]uint64{1, 2, 1}, 8, 4)
+	b := buildBlocks([]uint64{1, 2, 1}, 8, 8)
 	err := a.Merge(b)
 	if err == nil || !strings.Contains(err.Error(), "capacity filters differ") {
 		t.Fatalf("err = %v, want capacity-filter rejection", err)
@@ -30,7 +30,7 @@ func TestMergeRejectsMismatchedCapacity(t *testing.T) {
 func TestMergeRejectsMismatchedTableSize(t *testing.T) {
 	// A hand-constructed profile can lie about N; the defensive table
 	// length check must still refuse before indexing out of bounds.
-	a := Build([]uint64{1, 2, 1}, 8, 4)
+	a := buildBlocks([]uint64{1, 2, 1}, 8, 4)
 	b := &Profile{N: 8, CacheBlocks: 4, Table: make([]uint64, 16)}
 	err := a.Merge(b)
 	if err == nil || !strings.Contains(err.Error(), "table sizes differ") {
@@ -40,8 +40,8 @@ func TestMergeRejectsMismatchedTableSize(t *testing.T) {
 
 func TestMergeEmptyProfileIsNoOp(t *testing.T) {
 	blocks := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 1}
-	p := Build(blocks, 8, 4)
-	want := Build(blocks, 8, 4)
+	p := buildBlocks(blocks, 8, 4)
+	want := buildBlocks(blocks, 8, 4)
 	empty := NewBuilder(8, 4).Finish()
 	if err := p.Merge(empty); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestMergeEmptyProfileIsNoOp(t *testing.T) {
 
 func TestMergeIntoEmptyEqualsCopy(t *testing.T) {
 	blocks := []uint64{3, 1, 4, 1, 5, 9, 2, 6}
-	src := Build(blocks, 8, 4)
+	src := buildBlocks(blocks, 8, 4)
 	dst := NewBuilder(8, 4).Finish()
 	if err := dst.Merge(src); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestBuilderWarmMatchesPrefixReplay(t *testing.T) {
 	// contains only the suffix contributions).
 	blocks := []uint64{1, 2, 3, 1, 2, 3, 4, 1, 2}
 	cut := 4
-	full := Build(blocks, 8, 8)
+	full := buildBlocks(blocks, 8, 8)
 
 	bd := NewBuilder(8, 8)
 	for _, b := range blocks[:cut] {
@@ -99,7 +99,7 @@ func TestBuilderWarmMatchesPrefixReplay(t *testing.T) {
 	}
 	part := bd.Finish()
 
-	prefixOnly := Build(blocks[:cut], 8, 8)
+	prefixOnly := buildBlocks(blocks[:cut], 8, 8)
 	if part.TotalPairs != full.TotalPairs-prefixOnly.TotalPairs {
 		t.Fatalf("suffix pairs = %d, want %d", part.TotalPairs, full.TotalPairs-prefixOnly.TotalPairs)
 	}

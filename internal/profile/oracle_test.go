@@ -18,6 +18,7 @@ package profile
 // Build bit for bit for every worker count and chunk size.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -187,7 +188,7 @@ func TestDifferentialSequentialVsOracle(t *testing.T) {
 		blocks := randomOracleTrace(r)
 		n := 4 + r.Intn(7)
 		cacheBlocks := 1 << uint(r.Intn(6))
-		got := Build(blocks, n, cacheBlocks)
+		got := buildBlocks(blocks, n, cacheBlocks)
 		want := oracleBuild(blocks, n, cacheBlocks)
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d len=%d): Build vs oracle: %s",
@@ -196,8 +197,8 @@ func TestDifferentialSequentialVsOracle(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelVsSequential checks that BuildParallel and
-// BuildStream are bit-identical to Build — counters included — for
+// TestDifferentialParallelVsSequential checks that sharded in-memory
+// and stream builds are bit-identical to the sequential Build — counters included — for
 // every worker count and for chunk sizes that force many shard
 // boundaries, on randomized traces.
 func TestDifferentialParallelVsSequential(t *testing.T) {
@@ -210,7 +211,7 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		blocks := randomOracleTrace(r)
 		n := 4 + r.Intn(7)
 		cacheBlocks := 1 << uint(r.Intn(6))
-		want := Build(blocks, n, cacheBlocks)
+		want := buildBlocks(blocks, n, cacheBlocks)
 		for workers := 1; workers <= 8; workers++ {
 			got := mustParallel(t, blocks, n, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
@@ -219,10 +220,10 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 			}
 		}
 		chunk := 1 + r.Intn(40)
-		got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + r.Intn(4), ChunkSize: chunk})
+		got, err := Build(context.Background(), Stream(sliceSource(blocks)), n, cacheBlocks,
+			Options{Workers: 1 + r.Intn(4), ChunkSize: chunk})
 		if err != nil {
-			t.Fatalf("trial %d: BuildStream: %v", trial, err)
+			t.Fatalf("trial %d: stream Build: %v", trial, err)
 		}
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d len=%d) chunk=%d: stream: %s",
@@ -236,8 +237,8 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 // (locality-mixed or shard-boundary-adversarial) is profiled by the
 // sequential Build, the pre-overhaul sequential reference (refBuild),
 // the retained warmup/overlap parallel reference (refBuildParallel),
-// the new sharded BuildParallel at a random worker count in {1..16},
-// and BuildStream at a random chunk size — across all three histogram
+// the sharded Build at a random worker count in {1..16},
+// and a stream Build at a random chunk size — across all three histogram
 // backends (flat, forced-sparse, wide-n sparse) — and every result must
 // be bit-identical, counters and BuildStats walk-count probes included.
 func TestDifferentialShardedMatrix(t *testing.T) {
@@ -271,9 +272,9 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 
 		var want *Profile
 		if sparse {
-			want = NewSparseBuilder(n, cacheBlocks).finishBlocks(blocks)
+			want = mustBuild(Blocks(blocks), n, cacheBlocks, Options{ForceSparse: true})
 		} else {
-			want = Build(blocks, n, cacheBlocks)
+			want = buildBlocks(blocks, n, cacheBlocks)
 		}
 		if d := diffProfiles(refBuild(blocks, n, cacheBlocks, sparse), want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d sparse=%v): refBuild vs sequential: %s",
@@ -283,7 +284,7 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		workers := 1 + r.Intn(16)
 		var st BuildStats
 		got := mustParallelOpts(t, blocks, n, cacheBlocks,
-			ParallelOptions{Workers: workers, ForceSparse: sparse, Stats: &st})
+			Options{Workers: workers, ForceSparse: sparse, Stats: &st})
 		if d := diffProfiles(got, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d) workers=%d: sharded vs sequential: %s",
 				trial, n, cacheBlocks, sparse, len(blocks), workers, d)
@@ -300,10 +301,10 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 		}
 
 		chunk := 1 + r.Intn(48)
-		gs, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-			ParallelOptions{Workers: 1 + r.Intn(5), ChunkSize: chunk, ForceSparse: sparse})
+		gs, err := Build(context.Background(), Stream(sliceSource(blocks)), n, cacheBlocks,
+			Options{Workers: 1 + r.Intn(5), ChunkSize: chunk, ForceSparse: sparse})
 		if err != nil {
-			t.Fatalf("trial %d: BuildStream: %v", trial, err)
+			t.Fatalf("trial %d: stream Build: %v", trial, err)
 		}
 		if d := diffProfiles(gs, want); d != "" {
 			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d) chunk=%d: stream vs sequential: %s",
@@ -319,7 +320,23 @@ func TestDifferentialShardedMatrix(t *testing.T) {
 	}
 }
 
-// sliceSource adapts an in-memory block slice to the BlockSource shape.
+// mustBuild is Build under a background context for builds known to
+// be valid; it panics on error.
+func mustBuild(src Source, n, cacheBlocks int, opt Options) *Profile {
+	p, err := Build(context.Background(), src, n, cacheBlocks, opt)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// buildBlocks is the exact sequential Build of an in-memory trace.
+func buildBlocks(blocks []uint64, n, cacheBlocks int) *Profile {
+	return mustBuild(Blocks(blocks), n, cacheBlocks, Options{})
+}
+
+// sliceSource adapts an in-memory block slice to the BlockSource shape
+// — a stream, unlike Blocks.
 func sliceSource(blocks []uint64) BlockSource {
 	pos := 0
 	return func(dst []uint64) (int, error) {

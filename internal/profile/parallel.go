@@ -50,358 +50,36 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
-	"xoridx/internal/faultio"
 	"xoridx/internal/lru"
 	"xoridx/internal/xerr"
 )
-
-// ParallelOptions tunes the sharded profiling pipeline.
-type ParallelOptions struct {
-	// Workers is the number of concurrent shard builders. <= 0 selects
-	// GOMAXPROCS. Each worker holds a private histogram, so memory is
-	// Workers × 8·2^n bytes (flat backend) while a build is in flight.
-	Workers int
-
-	// ChunkSize is the shard length in accesses used by BuildStream.
-	// 0 selects DefaultChunkSize. The dispatcher fills every chunk to
-	// exactly this length (short source reads are topped up), so shard
-	// boundaries — and therefore gate-summary exchange points — land at
-	// fixed multiples of ChunkSize regardless of the source's read
-	// granularity. Only the final chunk may be short.
-	ChunkSize int
-
-	// ForceSparse selects the sparse histogram backend at any width,
-	// like NewSparseBuilder does for the sequential pass.
-	ForceSparse bool
-
-	// Stats, when non-nil, receives the merged hot-path probe counters
-	// on success: the sum of every shard's BuildStats plus the
-	// reconciler's own boundary walks. The sequential invariants
-	// CandidateWalks == Candidates, WalkSteps == TotalPairs and
-	// GatedCapacityMisses == Capacity hold exactly for the merged
-	// counters too (boundary reclassifications count as gated — they
-	// never write and then undo a histogram entry).
-	Stats *BuildStats
-
-	// Retry, when MaxRetries > 0, makes BuildStream retry transient
-	// source failures (errors wrapping xerr.ErrIO) in place under the
-	// policy instead of failing the build. Blocks delivered alongside a
-	// transient error are profiled before the fault is retried; the
-	// zero value disables retrying (a transient error fails the build
-	// like any other).
-	Retry faultio.Policy
-
-	// Sample enables sampled conflict walks (see sample.go): every
-	// access still runs the exact distance gate, but only every K-th
-	// conflict candidate is walked into the histogram. Sampling depends
-	// on the global candidate ordinal, which an isolated cold shard
-	// cannot know, so withDefaults forces Workers to 1 and the stream
-	// engine runs a plain sequential consumption loop.
-	Sample SampleOptions
-
-	// Sketch, when non-nil, selects the count-min-sketch histogram
-	// backend (see sketch.go) instead of flat/sparse. Shard sketches
-	// merge entrywise, so parallel sketch builds keep the (ε, δ) error
-	// bound but are not bit-identical to a sequential sketch build.
-	// Overrides ForceSparse.
-	Sketch *SketchOptions
-}
-
-// DefaultChunkSize is the shard length BuildStream uses when
-// ParallelOptions.ChunkSize is zero.
-const DefaultChunkSize = 1 << 16
-
-func (o ParallelOptions) withDefaults() ParallelOptions {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Sample.enabled() {
-		// The sampling gate counts global candidate ordinals; cold
-		// shards cannot, so sampled builds run sequentially.
-		o.Workers = 1
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
-	}
-	return o
-}
-
-// validate rejects out-of-domain backend options before any goroutine
-// starts.
-func (o ParallelOptions) validate() error {
-	if o.Sketch != nil {
-		return o.Sketch.Validate()
-	}
-	return nil
-}
-
-// sparse reports which histogram backend the options select at width n.
-func (o ParallelOptions) sparse(n int) bool {
-	return o.ForceSparse || n > MaxFlatBits
-}
-
-// newBuilder constructs a cold builder with the histogram backend the
-// options select. Sampling is armed separately by the sequential
-// paths — shard builders never sample.
-func (o ParallelOptions) newBuilder(n, cacheBlocks int) *Builder {
-	if o.Sketch != nil {
-		return newSketchBuilder(n, cacheBlocks, o.Sketch.withDefaults())
-	}
-	return newBuilder(n, cacheBlocks, o.sparse(n))
-}
 
 // testShardHook, when non-nil, runs at the start of every shard pass
 // with the shard index. The cancellation and panic-surfacing tests use
 // it to inject failures into a chosen shard; it is nil outside tests.
 var testShardHook func(idx int)
 
-// BuildParallel is Build fanned out over workers: the trace is split
-// into one contiguous shard per worker, each profiled concurrently from
-// a cold arena stack, and the shard histograms are folded together by a
-// single reconciliation pass over the exchanged gate summaries. The
-// result is bit-identical to Build for every worker count. Errors carry
-// wrapped xerr sentinels (ErrInvalidOptions for an out-of-domain
-// geometry).
-func BuildParallel(blocks []uint64, n, cacheBlocks, workers int) (*Profile, error) {
-	return BuildParallelOpts(blocks, n, cacheBlocks, ParallelOptions{Workers: workers})
-}
-
-// BuildParallelOpts is BuildParallel with explicit sharding controls.
-func BuildParallelOpts(blocks []uint64, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	return BuildParallelCtx(context.Background(), blocks, n, cacheBlocks, opt)
-}
-
-// BuildParallelCtx is BuildParallelOpts with cooperative cancellation:
-// every shard builder checks ctx while it works, so a canceled context
-// stops all workers within ctxCheckEvery accesses each and the call
-// returns a wrapped xerr.ErrCanceled with no goroutines left behind.
-// The geometry is validated before any worker starts, so an invalid
-// (n, cacheBlocks) surfaces as a wrapped xerr.ErrInvalidOptions instead
-// of a builder panic inside a goroutine. When both a worker failure and
-// a cancellation occur, the non-cancellation root cause wins: a shard
-// panic is reported as its wrapped xerr.ErrPanic naming the shard,
-// never masked by a secondary ErrCanceled from a sibling.
-func BuildParallelCtx(ctx context.Context, blocks []uint64, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	workers := opt.Workers
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	if workers <= 1 {
-		return buildSeqCtx(ctx, blocks, n, cacheBlocks, opt)
-	}
-	// One fixed-size shard slot per worker, allocated contiguously up
-	// front: a worker owns exactly its slot until the barrier, so the
-	// shards share no pointers while building.
-	shards := make([]shardState, workers)
-	for w := 0; w < workers; w++ {
-		start := w * len(blocks) / workers
-		end := (w + 1) * len(blocks) / workers
-		shards[w].idx = w
-		shards[w].blocks = blocks[start:end]
-	}
-	var wg sync.WaitGroup
-	for w := range shards {
-		wg.Add(1)
-		go func(s *shardState) {
-			defer wg.Done()
-			s.run(ctx, n, cacheBlocks, opt)
-		}(&shards[w])
-	}
-	wg.Wait()
-	if err := firstShardError(shards); err != nil {
-		return nil, err
-	}
+// buildSharded is the sharded engine behind Build: a chunk dispatcher,
+// a pool of workers shard builders, and an in-order collector that
+// reconciles gate summaries as shards complete (and snapshots the
+// reconciled prefix when a checkpoint is set). Reconciliation is
+// incremental, so at most ~workers shard histograms are alive at once.
+//
+// An in-memory source without a checkpoint is cut into workers
+// contiguous zero-copy shards; any other source into ChunkSize chunks
+// (zero-copy re-slices for in-memory sources). A failed shard (panic,
+// injected fault) cancels the rest of the fan-out internally, and its
+// error — not the secondary cancellation — is what the call returns.
+func buildSharded(ctx context.Context, src Source, n, cacheBlocks int, opt Options, workers int) (*Profile, error) {
 	rc := newReconciler(n, cacheBlocks, opt)
-	for w := range shards {
-		if err := rc.absorb(&shards[w]); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Stats != nil {
-		*opt.Stats = rc.stats
-	}
-	return rc.out, nil
-}
-
-// buildSeqCtx is the workers <= 1 path: a plain sequential pass that
-// still honors the backend and sampling options and Stats, with
-// BuildCtx's cancellation semantics (a canceled run returns its
-// Degraded partial profile alongside the error).
-func buildSeqCtx(ctx context.Context, blocks []uint64, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	bd := opt.newBuilder(n, cacheBlocks)
-	bd.setSampling(opt.Sample)
-	for start := 0; start < len(blocks); start += ctxCheckEvery {
-		if err := xerr.Check(ctx); err != nil {
-			p := bd.Finish()
-			p.Degraded = true
-			return p, err
-		}
-		end := start + ctxCheckEvery
-		if end > len(blocks) {
-			end = len(blocks)
-		}
-		for _, blk := range blocks[start:end] {
-			bd.Add(blk)
-		}
-	}
-	if opt.Stats != nil {
-		*opt.Stats = bd.stats
-	}
-	return bd.Finish(), nil
-}
-
-// firstShardError selects the error a failed fan-out reports: the first
-// non-cancellation failure in shard order if any shard has one (the
-// root cause — a panic or an injected fault), otherwise the first
-// cancellation.
-func firstShardError(shards []shardState) error {
-	var canceled error
-	for i := range shards {
-		err := shards[i].err
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, xerr.ErrCanceled) {
-			return err
-		}
-		if canceled == nil {
-			canceled = err
-		}
-	}
-	return canceled
-}
-
-// shardState is the fixed-size per-shard slot of a parallel build: the
-// input half (idx, blocks) is filled by the dispatcher, the output half
-// (p, sum, stats, err) by the one worker goroutine that runs the shard.
-// Nothing in it is shared until the shard is handed back for
-// reconciliation.
-type shardState struct {
-	idx    int
-	blocks []uint64
-
-	p     *Profile
-	sum   lru.GateSummary
-	stats BuildStats
-	err   error
-}
-
-// run profiles the shard from a cold builder, checking ctx every
-// ctxCheckEvery accesses, and exports the gate summary the reconciler
-// needs. A panic anywhere in the pass is converted into a wrapped
-// xerr.ErrPanic naming the shard instead of crashing the process, so
-// the fan-out drains normally and the caller sees an ordinary error it
-// can match with errors.Is.
-func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt ParallelOptions) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.p = nil
-			s.err = xerr.Panicked(fmt.Sprintf("profile: shard %d", s.idx), r)
-		}
-	}()
-	if testShardHook != nil {
-		testShardHook(s.idx)
-	}
-	bd := opt.newBuilder(n, cacheBlocks)
-	tick := 0
-	for _, b := range s.blocks {
-		if tick++; tick >= ctxCheckEvery {
-			tick = 0
-			if err := xerr.Check(ctx); err != nil {
-				s.err = err
-				return
-			}
-		}
-		bd.Add(b)
-	}
-	s.sum = bd.GateSummary()
-	s.stats = bd.Stats()
-	s.p = bd.Finish()
-}
-
-// BlockSource yields successive chunks of block addresses already
-// truncated to n bits, filling dst and returning how many it wrote.
-// It follows io.Reader conventions: (k, nil) with k > 0 while data
-// remains, then (0, io.EOF); (k > 0, io.EOF) is also accepted. Short
-// reads are fine — the dispatcher tops chunks up to ChunkSize itself.
-// trace.Reader.BlockSource adapts the streaming decoder to this shape.
-type BlockSource func(dst []uint64) (int, error)
-
-// BuildStream profiles a block stream with the sharded pipeline without
-// ever materializing the whole trace: the dispatcher fills ChunkSize
-// blocks at a time and fans the chunks out to Workers shard builders.
-// Reconciliation is in-order and incremental, so at most ~Workers shard
-// histograms are alive at once. The result is bit-identical to a
-// sequential Build of the same block sequence, for every worker count
-// and chunk size.
-func BuildStream(src BlockSource, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	return BuildStreamCtx(context.Background(), src, n, cacheBlocks, opt)
-}
-
-// BuildStreamCtx is BuildStream with cooperative cancellation: the
-// dispatcher checks ctx before reading each chunk and every in-flight
-// shard builder checks it while profiling, so a canceled context stops
-// the whole fan-out within ctxCheckEvery accesses per worker. All
-// goroutines are joined before the call returns a wrapped
-// xerr.ErrCanceled — cancellation never leaks workers. A failed shard
-// (panic, injected fault) cancels the rest of the fan-out internally,
-// and its error — not the secondary cancellation — is what the call
-// returns.
-func BuildStreamCtx(ctx context.Context, src BlockSource, n, cacheBlocks int, opt ParallelOptions) (*Profile, error) {
-	return buildStream(ctx, src, n, cacheBlocks, opt, nil)
-}
-
-// streamCheckpoint carries the persistence half of a checkpointed
-// stream build into the shared engine; nil means no checkpointing.
-type streamCheckpoint struct {
-	path   string
-	every  uint64
-	resume bool
-}
-
-// buildStream is the engine behind BuildStreamCtx and
-// BuildStreamCheckpointedCtx: a chunk dispatcher, a worker pool of
-// shard builders, and an in-order collector that reconciles gate
-// summaries as shards complete (and snapshots the reconciled prefix
-// when checkpointing is on).
-func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt ParallelOptions, ck *streamCheckpoint) (*Profile, error) {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
+	restored, err := restoreSnapshot(opt, n, cacheBlocks)
+	if err != nil {
 		return nil, err
 	}
-	if err := opt.Retry.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if ck != nil && (opt.Sample.enabled() || opt.Sketch != nil) {
-		// The snapshot codec is exact flat/sparse state; a resumed
-		// sampled pass would also lose its global candidate ordinal.
-		return nil, fmt.Errorf("profile: sampled or sketch builds cannot be checkpointed: %w",
-			xerr.ErrInvalidOptions)
-	}
-	opt = opt.withDefaults()
-	if opt.Sample.enabled() {
-		// Sampling depends on the global candidate ordinal, which the
-		// sharded engine's cold chunk builders cannot know even with one
-		// worker — the stream is consumed by a single sequential builder.
-		return buildSampledStream(ctx, src, n, cacheBlocks, opt)
-	}
-	rc := newReconciler(n, cacheBlocks, opt)
-	if ck != nil {
-		if err := rc.restore(ck, n, cacheBlocks, opt.sparse(n)); err != nil {
-			return nil, err
-		}
+	if restored != nil {
+		rc.out, rc.bound = restored.p, restored.stack
 	}
 	// inner cancels the fan-out when a shard fails, so the dispatcher
 	// and sibling shards stop instead of profiling a stream whose
@@ -409,20 +87,20 @@ func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt P
 	// the secondary cancellations never mask it.
 	inner, cancelInner := context.WithCancel(ctx)
 	defer cancelInner()
-	if opt.Retry.MaxRetries > 0 {
-		src = RetrySource(inner, src, opt.Retry)
+	src.retry(inner, opt.Retry)
+	if err := src.skip(rc.out.Accesses, opt.ChunkSize); err != nil {
+		return nil, err
 	}
-	// Skip the prefix a restored snapshot already consumed.
-	if skip := rc.out.Accesses; skip > 0 {
-		if err := skipSource(src, skip, opt.ChunkSize); err != nil {
-			return nil, err
-		}
+	chunkLen := func(int) int { return opt.ChunkSize }
+	if src.slice && opt.Checkpoint == "" {
+		total := len(src.blocks)
+		chunkLen = func(idx int) int { return (idx+1)*total/workers - idx*total/workers }
 	}
 
-	jobs := make(chan *shardState, opt.Workers)
-	done := make(chan *shardState, opt.Workers)
+	jobs := make(chan *shardState, workers)
+	done := make(chan *shardState, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -479,9 +157,9 @@ func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt P
 					fail(err)
 					continue
 				}
-				if ck != nil && ck.path != "" {
-					if sinceCkpt += added; sinceCkpt >= ck.every {
-						if err := rc.checkpointFile(ck.path); err != nil {
+				if opt.Checkpoint != "" {
+					if sinceCkpt += added; sinceCkpt >= opt.CheckpointEvery {
+						if err := rc.checkpointFile(opt.Checkpoint); err != nil {
 							fail(err)
 							continue
 						}
@@ -492,26 +170,22 @@ func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt P
 		}
 	}()
 
-	idx := 0
 	var srcErr error
-	for {
+	for idx := 0; ; {
 		if err := xerr.Check(inner); err != nil {
 			srcErr = err
 			break
 		}
-		buf := make([]uint64, opt.ChunkSize)
-		filled, ferr := fillChunk(src, buf)
-		if filled > 0 && ferr == nil || ferr == io.EOF {
-			if filled > 0 {
-				jobs <- &shardState{idx: idx, blocks: buf[:filled]}
-				idx++
-			}
+		chunk, rerr := src.next(chunkLen(idx), nil)
+		if len(chunk) > 0 && (rerr == nil || rerr == io.EOF) {
+			jobs <- &shardState{idx: idx, blocks: chunk}
+			idx++
 		}
-		if ferr == io.EOF {
+		if rerr == io.EOF {
 			break
 		}
-		if ferr != nil {
-			srcErr = ferr
+		if rerr != nil {
+			srcErr = rerr
 			break
 		}
 	}
@@ -530,14 +204,14 @@ func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt P
 		if cause == nil {
 			cause = cancelErr
 		}
-		if ck != nil {
-			return rc.degraded(ck, cause)
+		if opt.Checkpoint != "" {
+			return rc.degraded(opt.Checkpoint, cause)
 		}
 		return nil, cause
 	}
-	if ck != nil && ck.path != "" {
+	if opt.Checkpoint != "" {
 		// Final snapshot: a resume of a completed run replays nothing.
-		if err := rc.checkpointFile(ck.path); err != nil {
+		if err := rc.checkpointFile(opt.Checkpoint); err != nil {
 			return nil, err
 		}
 	}
@@ -545,6 +219,54 @@ func buildStream(ctx context.Context, src BlockSource, n, cacheBlocks int, opt P
 		*opt.Stats = rc.stats
 	}
 	return rc.out, nil
+}
+
+// shardState is the fixed-size per-shard slot of a sharded build: the
+// input half (idx, blocks) is filled by the dispatcher, the output half
+// (p, sum, stats, err) by the one worker goroutine that runs the shard.
+// Nothing in it is shared until the shard is handed back for
+// reconciliation.
+type shardState struct {
+	idx    int
+	blocks []uint64
+
+	p     *Profile
+	sum   lru.GateSummary
+	stats BuildStats
+	err   error
+}
+
+// run profiles the shard from a cold builder, checking ctx every
+// ctxCheckEvery accesses, and exports the gate summary the reconciler
+// needs. A panic anywhere in the pass is converted into a wrapped
+// xerr.ErrPanic naming the shard instead of crashing the process, so
+// the fan-out drains normally and the caller sees an ordinary error it
+// can match with errors.Is.
+func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.p = nil
+			s.err = xerr.Panicked(fmt.Sprintf("profile: shard %d", s.idx), r)
+		}
+	}()
+	if testShardHook != nil {
+		testShardHook(s.idx)
+	}
+	bd := opt.newBuilder(n, cacheBlocks)
+	tick := 0
+	for _, b := range s.blocks {
+		if tick++; tick >= ctxCheckEvery {
+			tick = 0
+			if err := xerr.Check(ctx); err != nil {
+				s.err = err
+				return
+			}
+		}
+		bd.Add(b)
+	}
+	s.sum = bd.GateSummary()
+	s.stats = bd.Stats()
+	s.p = bd.Finish()
 }
 
 // fillChunk tops buf up from the source until it is full or the stream
@@ -568,33 +290,6 @@ func fillChunk(src BlockSource, buf []uint64) (int, error) {
 	return filled, nil
 }
 
-// skipSource discards n blocks from the source — the prefix a restored
-// snapshot already profiled.
-func skipSource(src BlockSource, n uint64, chunkSize int) error {
-	buf := make([]uint64, chunkSize)
-	for n > 0 {
-		want := uint64(len(buf))
-		if n < want {
-			want = n
-		}
-		k, err := src(buf[:want])
-		if k > 0 {
-			n -= uint64(k)
-		}
-		if err == io.EOF && n > 0 {
-			return fmt.Errorf("profile: source ended %d accesses before the snapshot position: %w",
-				n, xerr.ErrFormat)
-		}
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if k == 0 && err == nil {
-			return fmt.Errorf("profile: block source returned no data and no error: %w", xerr.ErrFormat)
-		}
-	}
-	return nil
-}
-
 // reconciler folds shard results into the merged profile in trace
 // order. bound is the sequential LRU stack at the boundary between the
 // shards already absorbed and the next one — the only cross-shard state
@@ -611,7 +306,7 @@ type reconciler struct {
 	scratch []uint64            // scratch: boundary blocks collected by a walk
 }
 
-func newReconciler(n, cacheBlocks int, opt ParallelOptions) *reconciler {
+func newReconciler(n, cacheBlocks int, opt Options) *reconciler {
 	return &reconciler{
 		out:    opt.newBuilder(n, cacheBlocks).Finish(),
 		bound:  lru.NewStack(),

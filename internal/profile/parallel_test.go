@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -12,30 +13,30 @@ import (
 	"xoridx/internal/xerr"
 )
 
-// mustParallel unwraps BuildParallel for tests where the geometry is
+// mustParallel unwraps a sharded in-memory Build for tests where the geometry is
 // known to be valid.
 func mustParallel(t testing.TB, blocks []uint64, n, cacheBlocks, workers int) *Profile {
 	t.Helper()
-	p, err := BuildParallel(blocks, n, cacheBlocks, workers)
+	p, err := Build(context.Background(), Blocks(blocks), n, cacheBlocks, Options{Workers: workers})
 	if err != nil {
-		t.Fatalf("BuildParallel(n=%d cap=%d workers=%d): %v", n, cacheBlocks, workers, err)
+		t.Fatalf("Build(n=%d cap=%d workers=%d): %v", n, cacheBlocks, workers, err)
 	}
 	return p
 }
 
 // mustParallelOpts is mustParallel with explicit options.
-func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt ParallelOptions) *Profile {
+func mustParallelOpts(t testing.TB, blocks []uint64, n, cacheBlocks int, opt Options) *Profile {
 	t.Helper()
-	p, err := BuildParallelOpts(blocks, n, cacheBlocks, opt)
+	p, err := Build(context.Background(), Blocks(blocks), n, cacheBlocks, opt)
 	if err != nil {
-		t.Fatalf("BuildParallelOpts(n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
+		t.Fatalf("Build(n=%d cap=%d %+v): %v", n, cacheBlocks, opt, err)
 	}
 	return p
 }
 
 func TestBuildParallelEmptyAndTiny(t *testing.T) {
 	for _, blocks := range [][]uint64{nil, {}, {5}, {5, 5}, {1, 2}} {
-		want := Build(blocks, 8, 4)
+		want := buildBlocks(blocks, 8, 4)
 		for workers := 1; workers <= 4; workers++ {
 			got := mustParallel(t, blocks, 8, 4, workers)
 			if d := diffProfiles(got, want); d != "" {
@@ -47,7 +48,7 @@ func TestBuildParallelEmptyAndTiny(t *testing.T) {
 
 func TestBuildParallelMoreWorkersThanAccesses(t *testing.T) {
 	blocks := []uint64{1, 2, 1, 3, 2, 1}
-	want := Build(blocks, 6, 4)
+	want := buildBlocks(blocks, 6, 4)
 	got := mustParallel(t, blocks, 6, 4, 64)
 	if d := diffProfiles(got, want); d != "" {
 		t.Fatal(d)
@@ -61,12 +62,14 @@ func TestBuildParallelRejectsInvalidGeometry(t *testing.T) {
 	for _, tc := range []struct{ n, cacheBlocks int }{
 		{0, 4}, {-1, 4}, {65, 4}, {8, 0}, {8, -2},
 	} {
-		if _, err := BuildParallel([]uint64{1, 2, 3}, tc.n, tc.cacheBlocks, 3); !errors.Is(err, xerr.ErrInvalidOptions) {
-			t.Errorf("BuildParallel(n=%d cap=%d) err = %v, want ErrInvalidOptions",
+		if _, err := Build(context.Background(), Blocks([]uint64{1, 2, 3}), tc.n, tc.cacheBlocks,
+			Options{Workers: 3}); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("Build(n=%d cap=%d) err = %v, want ErrInvalidOptions",
 				tc.n, tc.cacheBlocks, err)
 		}
-		if _, err := BuildStream(sliceSource([]uint64{1, 2}), tc.n, tc.cacheBlocks, ParallelOptions{}); !errors.Is(err, xerr.ErrInvalidOptions) {
-			t.Errorf("BuildStream(n=%d cap=%d) err = %v, want ErrInvalidOptions",
+		if _, err := Build(context.Background(), Stream(sliceSource([]uint64{1, 2})), tc.n, tc.cacheBlocks,
+			Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("stream Build(n=%d cap=%d) err = %v, want ErrInvalidOptions",
 				tc.n, tc.cacheBlocks, err)
 		}
 	}
@@ -99,7 +102,7 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 		cacheBlocks := []int{4, 16, 64}[trial%3]
 		period := cacheBlocks + r.Intn(2*cacheBlocks)
 		blocks := boundaryTrace(r, period, 600+r.Intn(400))
-		want := Build(blocks, 8, cacheBlocks)
+		want := buildBlocks(blocks, 8, cacheBlocks)
 		for _, workers := range []int{2, 3, 5, 8} {
 			got := mustParallel(t, blocks, 8, cacheBlocks, workers)
 			if d := diffProfiles(got, want); d != "" {
@@ -108,8 +111,8 @@ func TestBuildParallelBoundaryAdversarial(t *testing.T) {
 			}
 		}
 		for _, chunk := range []int{period - 1, period, period + 1} {
-			got, err := BuildStream(sliceSource(blocks), 8, cacheBlocks,
-				ParallelOptions{Workers: 4, ChunkSize: chunk})
+			got, err := Build(context.Background(), Stream(sliceSource(blocks)), 8, cacheBlocks,
+				Options{Workers: 4, ChunkSize: chunk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +132,7 @@ func TestBuildParallelStatsInvariants(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		blocks := randomOracleTrace(r)
 		var st BuildStats
-		opt := ParallelOptions{Workers: 1 + r.Intn(8), Stats: &st}
+		opt := Options{Workers: 1 + r.Intn(8), Stats: &st}
 		p := mustParallelOpts(t, blocks, 8, 16, opt)
 		if st.CandidateWalks != p.Candidates {
 			t.Fatalf("trial %d workers=%d: CandidateWalks %d != Candidates %d",
@@ -152,9 +155,9 @@ func TestBuildParallelForceSparse(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		blocks := randomOracleTrace(r)
-		want := NewSparseBuilder(8, 8).finishBlocks(blocks)
+		want := mustBuild(Blocks(blocks), 8, 8, Options{ForceSparse: true})
 		got := mustParallelOpts(t, blocks, 8, 8,
-			ParallelOptions{Workers: 2 + r.Intn(6), ForceSparse: true})
+			Options{Workers: 2 + r.Intn(6), ForceSparse: true})
 		if got.Sparse == nil {
 			t.Fatal("ForceSparse did not select the sparse backend")
 		}
@@ -178,7 +181,7 @@ func TestBuildParallelShardPanicNamesShard(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 97)
 	}
-	_, err := BuildParallel(blocks, 8, 4, 4)
+	_, err := Build(context.Background(), Blocks(blocks), 8, 4, Options{Workers: 4})
 	if !errors.Is(err, xerr.ErrPanic) {
 		t.Fatalf("err = %v, want wrapped ErrPanic", err)
 	}
@@ -206,8 +209,8 @@ func TestBuildStreamShardPanicNotMaskedByCancellation(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(i % 131)
 	}
-	p, err := BuildStream(sliceSource(blocks), 8, 4,
-		ParallelOptions{Workers: 4, ChunkSize: 64})
+	p, err := Build(context.Background(), Stream(sliceSource(blocks)), 8, 4,
+		Options{Workers: 4, ChunkSize: 64})
 	if p != nil {
 		t.Fatal("failed stream build must not return a profile")
 	}
@@ -243,11 +246,11 @@ func TestBuildStreamFillsShortReads(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(src, 8, 4, ParallelOptions{Workers: 2, ChunkSize: 25})
+	got, err := Build(context.Background(), Stream(src), 8, 4, Options{Workers: 2, ChunkSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffProfiles(got, Build(blocks, 8, 4)); d != "" {
+	if d := diffProfiles(got, buildBlocks(blocks, 8, 4)); d != "" {
 		t.Fatal(d)
 	}
 	if n := shards.Load(); n != 4 {
@@ -266,14 +269,15 @@ func TestBuildStreamPropagatesSourceError(t *testing.T) {
 		}
 		return 0, boom
 	}
-	if _, err := BuildStream(src, 8, 4, ParallelOptions{Workers: 2, ChunkSize: 2}); !errors.Is(err, boom) {
+	if _, err := Build(context.Background(), Stream(src), 8, 4,
+		Options{Workers: 2, ChunkSize: 2}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
 func TestBuildStreamRejectsStuckSource(t *testing.T) {
 	src := func(dst []uint64) (int, error) { return 0, nil }
-	if _, err := BuildStream(src, 8, 4, ParallelOptions{}); err == nil {
+	if _, err := Build(context.Background(), Stream(src), 8, 4, Options{}); err == nil {
 		t.Fatal("expected error for a source that makes no progress")
 	}
 }
@@ -290,21 +294,24 @@ func TestBuildStreamFinalChunkWithEOF(t *testing.T) {
 		}
 		return k, nil
 	}
-	got, err := BuildStream(src, 6, 4, ParallelOptions{Workers: 3, ChunkSize: 4})
+	got, err := Build(context.Background(), Stream(src), 6, 4, Options{Workers: 3, ChunkSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffProfiles(got, Build(blocks, 6, 4)); d != "" {
+	if d := diffProfiles(got, buildBlocks(blocks, 6, 4)); d != "" {
 		t.Fatal(d)
 	}
 }
 
 func TestParallelOptionsDefaults(t *testing.T) {
-	o := ParallelOptions{}.withDefaults()
-	if o.Workers < 1 {
-		t.Fatalf("Workers = %d", o.Workers)
+	o := Options{}.withDefaults()
+	if o.Workers != 0 {
+		t.Fatalf("Workers = %d, want the zero value kept (sequential)", o.Workers)
 	}
 	if o.ChunkSize != DefaultChunkSize {
 		t.Fatalf("ChunkSize = %d", o.ChunkSize)
+	}
+	if o.CheckpointEvery != DefaultCheckpointEvery {
+		t.Fatalf("CheckpointEvery = %d", o.CheckpointEvery)
 	}
 }

@@ -80,21 +80,9 @@ type Profile struct {
 	Degraded bool
 }
 
-// Build runs the Fig. 1 profiling algorithm over a block-address
-// sequence. Blocks must already be truncated to n bits (see
-// trace.Trace.Blocks). cacheBlocks is the cache capacity in blocks used
-// for the capacity-miss filter.
-func Build(blocks []uint64, n, cacheBlocks int) *Profile {
-	b := NewBuilder(n, cacheBlocks)
-	for _, blk := range blocks {
-		b.Add(blk)
-	}
-	return b.Finish()
-}
-
 // Builder accumulates a Profile incrementally, one block access at a
-// time — the streaming form of Build for traces too large to hold in
-// memory (feed it straight from a trace decoder).
+// time — the primitive both Build engines run, and the form for callers
+// that interleave profiling with their own work.
 //
 // The hot path is distance-gated (DESIGN.md §12): every access first
 // classifies its reuse distance against the capacity filter with one
@@ -140,24 +128,14 @@ func (bd *Builder) Stats() BuildStats { return bd.stats }
 
 // NewBuilder starts an empty profile with the given hashed-address
 // width and capacity filter. It panics on out-of-range arguments (the
-// constructor convention; the parallel builders validate and return
-// wrapped errors instead — see ValidateGeometry). Widths up to
+// constructor convention; Build validates and returns wrapped errors
+// instead — see ValidateGeometry). Widths up to
 // MaxFlatBits get the flat table backend; wider profiles are sparse.
 func NewBuilder(n, cacheBlocks int) *Builder {
 	if err := ValidateGeometry(n, cacheBlocks); err != nil {
 		panic(err)
 	}
 	return newBuilder(n, cacheBlocks, n > MaxFlatBits)
-}
-
-// NewSparseBuilder is NewBuilder forcing the sparse map backend at any
-// width — useful for tests and for memory-constrained callers whose
-// histogram support is known to be small.
-func NewSparseBuilder(n, cacheBlocks int) *Builder {
-	if err := ValidateGeometry(n, cacheBlocks); err != nil {
-		panic(err)
-	}
-	return newBuilder(n, cacheBlocks, true)
 }
 
 // ValidateGeometry checks a (n, cacheBlocks) profiling geometry,
@@ -259,8 +237,9 @@ func (bd *Builder) Add(block uint64) {
 // Warm replays one block access into the LRU stack without counting
 // anything: no conflict vectors, no bookkeeping. It reconstructs the
 // stack context at a shard boundary so a chunked builder classifies the
-// accesses of its own shard exactly as a sequential pass would (see
-// BuildParallel and DESIGN.md §8).
+// accesses of its own shard exactly as a sequential pass would — the
+// warm-up replay scheme the sharded engine replaced, kept as its
+// differential reference (refparallel_test.go).
 func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")

@@ -1,24 +1,46 @@
 package profile
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"xoridx/internal/cache"
 	"xoridx/internal/gf2"
 	"xoridx/internal/hash"
+	"xoridx/internal/xerr"
 )
 
 func TestBuildValidation(t *testing.T) {
+	for name, tc := range map[string]struct {
+		src            Source
+		n, cacheBlocks int
+		opt            Options
+	}{
+		"n too large":       {Blocks(nil), MaxBits + 1, 16, Options{}},
+		"n zero":            {Blocks(nil), 0, 16, Options{}},
+		"no cap filter":     {Blocks(nil), 8, 0, Options{}},
+		"no source":         {Source{}, 8, 16, Options{}},
+		"nil stream":        {Stream(nil), 8, 16, Options{}},
+		"bad sketch":        {Blocks(nil), 8, 16, Options{Sketch: &SketchOptions{Width: 3}}},
+		"sampled snapshot":  {Blocks(nil), 8, 16, Options{Sample: SampleOptions{K: 4}, Checkpoint: "x"}},
+		"sketched snapshot": {Blocks(nil), 8, 16, Options{Sketch: &SketchOptions{}, Checkpoint: "x"}},
+	} {
+		_, err := Build(context.Background(), tc.src, tc.n, tc.cacheBlocks, tc.opt)
+		if !errors.Is(err, xerr.ErrInvalidOptions) {
+			t.Errorf("%s: err = %v, want wrapped ErrInvalidOptions", name, err)
+		}
+	}
 	for name, fn := range map[string]func(){
-		"n too large":   func() { Build(nil, MaxBits+1, 16) },
-		"n zero":        func() { Build(nil, 0, 16) },
-		"no cap filter": func() { Build(nil, 8, 0) },
+		"n too large":   func() { NewBuilder(MaxBits+1, 16) },
+		"n zero":        func() { NewBuilder(0, 16) },
+		"no cap filter": func() { NewBuilder(8, 0) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s should panic", name)
+					t.Errorf("NewBuilder %s should panic", name)
 				}
 			}()
 			fn()
@@ -33,7 +55,7 @@ func TestBuildCountsThrashPair(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		blocks = append(blocks, 0, 256)
 	}
-	p := Build(blocks, 16, 256)
+	p := buildBlocks(blocks, 16, 256)
 	if p.Compulsory != 2 {
 		t.Fatalf("compulsory = %d", p.Compulsory)
 	}
@@ -62,7 +84,7 @@ func TestCapacityFilterRollsBack(t *testing.T) {
 			blocks = append(blocks, b)
 		}
 	}
-	p := Build(blocks, 16, C)
+	p := buildBlocks(blocks, 16, C)
 	if p.Capacity != uint64(len(blocks))-2*C {
 		t.Fatalf("capacity = %d, want %d", p.Capacity, len(blocks)-2*C)
 	}
@@ -83,7 +105,7 @@ func TestEstimateMatchesExactForSimpleThrash(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		blocks = append(blocks, 0, 256)
 	}
-	p := Build(blocks, 16, 256)
+	p := buildBlocks(blocks, 16, 256)
 
 	// Conventional modulo with 8 set bits: 0 and 256 collide.
 	conv := hash.Modulo(16, 8)
@@ -113,7 +135,7 @@ func TestEstimateConventionalEqualsIdentityMatrix(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << 12))
 	}
-	p := Build(blocks, 16, 256)
+	p := buildBlocks(blocks, 16, 256)
 	m := 8
 	if p.EstimateConventional(m) != p.EstimateMatrix(gf2.Identity(16, m)) {
 		t.Fatal("EstimateConventional must equal estimate of identity matrix")
@@ -127,7 +149,7 @@ func TestEstimateSubspaceAgreesWithBasisAndBruteForce(t *testing.T) {
 		// Strided pattern with collisions in a small universe.
 		blocks[i] = uint64((i * 17) % 700)
 	}
-	p := Build(blocks, 12, 64)
+	p := buildBlocks(blocks, 12, 64)
 	for trial := 0; trial < 20; trial++ {
 		// Random full-rank matrix, m=6.
 		var h gf2.Matrix
@@ -169,7 +191,7 @@ func TestEstimateTracksExactRanking(t *testing.T) {
 			blocks = append(blocks, i*sets)
 		}
 	}
-	p := Build(blocks, 12, sets)
+	p := buildBlocks(blocks, 12, sets)
 	conv := hash.Modulo(12, 6)
 	extra := make([][]int, 6)
 	for c := 0; c < 4; c++ {
@@ -199,7 +221,7 @@ func TestHotVectors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		blocks = append(blocks, 1000, 1000^128) // vector 128, 5 pairs
 	}
-	p := Build(blocks, 16, 1024)
+	p := buildBlocks(blocks, 16, 1024)
 	hot := p.HotVectors(10)
 	if len(hot) < 2 {
 		t.Fatalf("hot vectors: %v", hot)
@@ -222,14 +244,14 @@ func TestTableZeroIsAlwaysZero(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(256))
 	}
-	p := Build(blocks, 10, 64)
+	p := buildBlocks(blocks, 10, 64)
 	if p.Table[0] != 0 {
 		t.Fatalf("Table[0] = %d; a block cannot conflict with itself", p.Table[0])
 	}
 }
 
 func TestEstimatePanicsOnDimensionMismatch(t *testing.T) {
-	p := Build([]uint64{1, 2, 3}, 10, 8)
+	p := buildBlocks([]uint64{1, 2, 3}, 10, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -246,7 +268,7 @@ func TestAccountingInvariant(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = uint64(rng.Intn(1 << (6 + rng.Intn(6))))
 		}
-		p := Build(blocks, 14, 1<<uint(3+rng.Intn(5)))
+		p := buildBlocks(blocks, 14, 1<<uint(3+rng.Intn(5)))
 		if p.Accesses != p.Compulsory+p.Capacity+p.Candidates {
 			t.Fatalf("accounting broken: %+v", p)
 		}
@@ -267,7 +289,7 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << 11))
 	}
-	want := Build(blocks, 12, 128)
+	want := buildBlocks(blocks, 12, 128)
 	b := NewBuilder(12, 128)
 	for _, blk := range blocks {
 		b.Add(blk)
@@ -297,8 +319,8 @@ func TestBuilderAddAfterFinishPanics(t *testing.T) {
 }
 
 func TestMergeAccumulates(t *testing.T) {
-	a := Build([]uint64{0, 64, 0, 64}, 10, 16)
-	b := Build([]uint64{0, 128, 0, 128}, 10, 16)
+	a := buildBlocks([]uint64{0, 64, 0, 64}, 10, 16)
+	b := buildBlocks([]uint64{0, 128, 0, 128}, 10, 16)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +341,11 @@ func TestMergeAccumulates(t *testing.T) {
 }
 
 func TestMergeValidation(t *testing.T) {
-	a := Build([]uint64{1}, 10, 16)
-	if err := a.Merge(Build([]uint64{1}, 12, 16)); err == nil {
+	a := buildBlocks([]uint64{1}, 10, 16)
+	if err := a.Merge(buildBlocks([]uint64{1}, 12, 16)); err == nil {
 		t.Error("n mismatch must fail")
 	}
-	if err := a.Merge(Build([]uint64{1}, 10, 32)); err == nil {
+	if err := a.Merge(buildBlocks([]uint64{1}, 10, 32)); err == nil {
 		t.Error("capacity mismatch must fail")
 	}
 }
@@ -337,7 +359,7 @@ func TestWideAddressSpace(t *testing.T) {
 			blocks = append(blocks, i<<10) // stride 2^10 blocks
 		}
 	}
-	p := Build(blocks, 20, 1<<10)
+	p := buildBlocks(blocks, 20, 1<<10)
 	if len(p.Table) != 1<<20 {
 		t.Fatalf("table size %d", len(p.Table))
 	}

@@ -45,7 +45,7 @@ func TestQuickProfileAccounting(t *testing.T) {
 	// accesses = compulsory + capacity + candidates; table sums to
 	// TotalPairs; Table[0] is always zero — on arbitrary traces.
 	f := func(qt quickTrace) bool {
-		p := Build(qt.Blocks, 10, 64)
+		p := buildBlocks(qt.Blocks, 10, 64)
 		if p.Accesses != p.Compulsory+p.Capacity+p.Candidates {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestQuickEstimateMonotoneInNullSpace(t *testing.T) {
 	// space can only admit more conflict vectors (Eq. 4 is a sum of
 	// non-negative terms over the null space).
 	f := func(qt quickTrace, seed int64) bool {
-		p := Build(qt.Blocks, 10, 64)
+		p := buildBlocks(qt.Blocks, 10, 64)
 		r := rand.New(rand.NewSource(seed))
 		// Build a chain: small subspace ⊂ extended subspace.
 		small := gf2.Span(10, gf2.Vec(r.Uint64())&gf2.Mask(10), gf2.Vec(r.Uint64())&gf2.Mask(10))
@@ -88,7 +88,7 @@ func TestQuickEstimateInvariantUnderRecombination(t *testing.T) {
 	// Post-multiplying H by an invertible matrix changes H but not its
 	// estimate (same null space) — the paper's §2 equivalence.
 	f := func(qt quickTrace, seed int64) bool {
-		p := Build(qt.Blocks, 10, 64)
+		p := buildBlocks(qt.Blocks, 10, 64)
 		r := rand.New(rand.NewSource(seed))
 		var h gf2.Matrix
 		for {
@@ -111,7 +111,7 @@ func TestQuickEstimateInvariantUnderRecombination(t *testing.T) {
 func TestQuickBuilderEquivalence(t *testing.T) {
 	// Incremental building matches batch building on arbitrary traces.
 	f := func(qt quickTrace) bool {
-		want := Build(qt.Blocks, 10, 32)
+		want := buildBlocks(qt.Blocks, 10, 32)
 		b := NewBuilder(10, 32)
 		for _, blk := range qt.Blocks {
 			b.Add(blk)

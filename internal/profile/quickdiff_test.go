@@ -2,11 +2,12 @@ package profile
 
 // Property-based differential tests: three structured trace generators
 // (strided, tiled, random) cross-check the sequential Build, the
-// sharded BuildParallel/BuildStream, and the naive oracle on arbitrary
+// sharded in-memory and stream Builds, and the naive oracle on arbitrary
 // inputs, including block addresses at and beyond the 2^n mask edge and
 // degenerate empty / single-access traces.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,27 +75,28 @@ func checkAllBuilders(t *testing.T, blocks []uint64) bool {
 	for _, n := range []int{4, 9} {
 		for _, cacheBlocks := range []int{2, 16, 128} {
 			want := oracleBuild(blocks, n, cacheBlocks)
-			if d := diffProfiles(Build(blocks, n, cacheBlocks), want); d != "" {
+			if d := diffProfiles(buildBlocks(blocks, n, cacheBlocks), want); d != "" {
 				t.Logf("n=%d cap=%d: Build vs oracle: %s", n, cacheBlocks, d)
 				return false
 			}
-			gotPar, err := BuildParallel(blocks, n, cacheBlocks, 5)
+			gotPar, err := Build(context.Background(), Blocks(blocks), n, cacheBlocks,
+				Options{Workers: 5})
 			if err != nil {
-				t.Logf("n=%d cap=%d: BuildParallel: %v", n, cacheBlocks, err)
+				t.Logf("n=%d cap=%d: sharded Build: %v", n, cacheBlocks, err)
 				return false
 			}
 			if d := diffProfiles(gotPar, want); d != "" {
-				t.Logf("n=%d cap=%d: BuildParallel vs oracle: %s", n, cacheBlocks, d)
+				t.Logf("n=%d cap=%d: sharded Build vs oracle: %s", n, cacheBlocks, d)
 				return false
 			}
-			got, err := BuildStream(sliceSource(blocks), n, cacheBlocks,
-				ParallelOptions{Workers: 3, ChunkSize: 33})
+			got, err := Build(context.Background(), Stream(sliceSource(blocks)), n, cacheBlocks,
+				Options{Workers: 3, ChunkSize: 33})
 			if err != nil {
-				t.Logf("n=%d cap=%d: BuildStream: %v", n, cacheBlocks, err)
+				t.Logf("n=%d cap=%d: stream Build: %v", n, cacheBlocks, err)
 				return false
 			}
 			if d := diffProfiles(got, want); d != "" {
-				t.Logf("n=%d cap=%d: BuildStream vs oracle: %s", n, cacheBlocks, d)
+				t.Logf("n=%d cap=%d: stream Build vs oracle: %s", n, cacheBlocks, d)
 				return false
 			}
 		}

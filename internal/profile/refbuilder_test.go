@@ -171,9 +171,9 @@ func TestBuildDifferentialVsReference(t *testing.T) {
 		blocks := diffTrace(rng)
 		var got *Profile
 		if sparse {
-			got = NewSparseBuilder(n, cacheBlocks).finishBlocks(blocks)
+			got = mustBuild(Blocks(blocks), n, cacheBlocks, Options{ForceSparse: true})
 		} else {
-			got = Build(blocks, n, cacheBlocks)
+			got = buildBlocks(blocks, n, cacheBlocks)
 		}
 		want := refBuild(blocks, n, cacheBlocks, sparse)
 		if d := diffProfiles(got, want); d != "" {

@@ -29,8 +29,9 @@ func refWarmStart(blocks []uint64, start, distinct int, mask uint64) int {
 	return i
 }
 
-// refBuildParallel is the old BuildParallel at its exact (default)
-// overlap of cacheBlocks+1 distinct blocks, run shard by shard.
+// refBuildParallel is the original warm-up replay sharded builder at
+// its exact (default) overlap of cacheBlocks+1 distinct blocks, run
+// shard by shard.
 func refBuildParallel(blocks []uint64, n, cacheBlocks int, sparse bool, workers int) *Profile {
 	if workers > len(blocks) {
 		workers = len(blocks)
@@ -89,7 +90,7 @@ func TestRefParallelMatchesSequential(t *testing.T) {
 		blocks := randomOracleTrace(r)
 		n := 4 + r.Intn(7)
 		cacheBlocks := 1 << uint(r.Intn(6))
-		want := Build(blocks, n, cacheBlocks)
+		want := buildBlocks(blocks, n, cacheBlocks)
 		for _, workers := range []int{1, 3, 7} {
 			got := refBuildParallel(blocks, n, cacheBlocks, false, workers)
 			if d := diffProfiles(got, want); d != "" {

@@ -6,6 +6,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -41,13 +42,13 @@ func conflictHeavyBlocks(rng *rand.Rand, length int) []uint64 {
 // number of walked candidates follows the deterministic phase formula.
 func TestSampledClassificationMatchesExact(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(61)), 20_000)
-	exact := Build(blocks, 16, 64)
+	exact := buildBlocks(blocks, 16, 64)
 	if exact.Candidates == 0 {
 		t.Fatal("generator produced no conflict candidates")
 	}
 	for _, k := range sampledSweepK {
 		const seed = 9
-		p := BuildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: seed})
+		p := mustBuild(Blocks(blocks), 16, 64, Options{Sample: SampleOptions{K: k, Seed: seed}})
 		if p.Accesses != exact.Accesses || p.Compulsory != exact.Compulsory ||
 			p.Capacity != exact.Capacity || p.Candidates != exact.Candidates {
 			t.Fatalf("k=%d: classification differs from exact: %+v vs %+v", k,
@@ -82,9 +83,9 @@ func TestSampledClassificationMatchesExact(t *testing.T) {
 // of the exact count, across several conventional geometries.
 func TestSampledErrorWithinBound(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(62)), 30_000)
-	exact := Build(blocks, 16, 64)
+	exact := buildBlocks(blocks, 16, 64)
 	for _, k := range sampledSweepK {
-		p := BuildSampled(blocks, 16, 64, SampleOptions{K: k, Seed: 7})
+		p := mustBuild(Blocks(blocks), 16, 64, Options{Sample: SampleOptions{K: k, Seed: 7}})
 		for _, m := range []int{4, 6, 8} {
 			want := exact.EstimateConventional(m)
 			conf := p.ConfidenceFor(p.EstimateConventional(m))
@@ -111,26 +112,26 @@ func TestSampledErrorWithinBound(t *testing.T) {
 func TestSampledDeterministic(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(63)), 10_000)
 	opt := SampleOptions{K: 16, Seed: 1234}
-	a := BuildSampled(blocks, 16, 64, opt)
-	b := BuildSampled(blocks, 16, 64, opt)
+	a := mustBuild(Blocks(blocks), 16, 64, Options{Sample: opt})
+	b := mustBuild(Blocks(blocks), 16, 64, Options{Sample: opt})
 	if d := diffProfiles(a, b); d != "" {
 		t.Fatal(d)
 	}
 	// A different seed shifts the phase but not the classification.
-	c := BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 99})
+	c := mustBuild(Blocks(blocks), 16, 64, Options{Sample: SampleOptions{K: 16, Seed: 99}})
 	if c.Candidates != a.Candidates || c.Accesses != a.Accesses {
 		t.Fatal("seed changed classification counters")
 	}
 }
 
-// TestBuildStreamSampledMatchesSequential: the stream engine must
-// route sampled builds through the sequential path (cold shards cannot
-// know global candidate ordinals), yielding a profile bit-identical to
-// BuildSampled no matter how many workers were requested.
+// TestBuildStreamSampledMatchesSequential: Build must route sampled
+// stream builds through the sequential engine (cold shards cannot know
+// global candidate ordinals), yielding a profile bit-identical to the
+// in-memory sampled build no matter how many workers were requested.
 func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(64)), 8_000)
 	opt := SampleOptions{K: 16, Seed: 5}
-	want := BuildSampled(blocks, 16, 64, opt)
+	want := mustBuild(Blocks(blocks), 16, 64, Options{Sample: opt})
 	pos := 0
 	src := func(dst []uint64) (int, error) {
 		if pos >= len(blocks) {
@@ -140,7 +141,8 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 		pos += k
 		return k, nil
 	}
-	got, err := BuildStream(src, 16, 64, ParallelOptions{Workers: 4, ChunkSize: 999, Sample: opt})
+	got, err := Build(context.Background(), Stream(src), 16, 64,
+		Options{Workers: 4, ChunkSize: 999, Sample: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,8 @@ func TestBuildStreamSampledMatchesSequential(t *testing.T) {
 // carry the sampling gate across restarts faithfully, so the builder
 // must refuse rather than silently resample a different subset.
 func TestSampledBuilderCheckpointRejected(t *testing.T) {
-	bd := NewSampledBuilder(16, 64, SampleOptions{K: 8})
+	bd := NewBuilder(16, 64)
+	bd.setSampling(SampleOptions{K: 8})
 	bd.Add(0x40)
 	if err := bd.Checkpoint(io.Discard); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Fatalf("sampled Checkpoint returned %v, want ErrInvalidOptions", err)
@@ -211,14 +214,16 @@ func TestSampledWindowedCheckpointRoundTrip(t *testing.T) {
 // would have no single scale factor.
 func TestSampledMergeCompatibility(t *testing.T) {
 	blocks := conflictHeavyBlocks(rand.New(rand.NewSource(66)), 4_000)
-	a := BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})
-	if err := a.Merge(Build(blocks, 16, 64)); !errors.Is(err, xerr.ErrProfileMismatch) {
+	a := mustBuild(Blocks(blocks), 16, 64, Options{Sample: SampleOptions{K: 16, Seed: 1}})
+	if err := a.Merge(buildBlocks(blocks, 16, 64)); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging exact into sampled returned %v", err)
 	}
-	if err := a.Merge(BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 2})); !errors.Is(err, xerr.ErrProfileMismatch) {
+	if err := a.Merge(mustBuild(Blocks(blocks), 16, 64,
+		Options{Sample: SampleOptions{K: 16, Seed: 2}})); !errors.Is(err, xerr.ErrProfileMismatch) {
 		t.Fatalf("merging different seeds returned %v", err)
 	}
-	if err := a.Merge(BuildSampled(blocks, 16, 64, SampleOptions{K: 16, Seed: 1})); err != nil {
+	if err := a.Merge(mustBuild(Blocks(blocks), 16, 64,
+		Options{Sample: SampleOptions{K: 16, Seed: 1}})); err != nil {
 		t.Fatalf("merging compatible sampled profiles: %v", err)
 	}
 }

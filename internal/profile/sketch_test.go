@@ -5,6 +5,7 @@ package profile
 // geometry rules, heavy-hitter tracking, and the (ε, δ) accounting.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -38,11 +39,12 @@ func wideSupportBlocks(rng *rand.Rand, length int) []uint64 {
 // tighter half.
 func TestSketchDifferentialAgainstSparse(t *testing.T) {
 	blocks := wideSupportBlocks(rand.New(rand.NewSource(71)), 40_000)
-	sparse, err := BuildParallelOpts(blocks, 24, 64, ParallelOptions{Workers: 1, ForceSparse: true})
+	sparse, err := Build(context.Background(), Blocks(blocks), 24, 64,
+		Options{Workers: 1, ForceSparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := BuildParallelOpts(blocks, 24, 64, ParallelOptions{
+	sk, err := Build(context.Background(), Blocks(blocks), 24, 64, Options{
 		Workers: 1, Sketch: &SketchOptions{Width: 1 << 8, TopK: 64},
 	})
 	if err != nil {
@@ -88,11 +90,12 @@ func TestSketchDifferentialAgainstSparse(t *testing.T) {
 // dependent) but every merged counter must remain an upper bound.
 func TestSketchShardedMergeStaysBounded(t *testing.T) {
 	blocks := wideSupportBlocks(rand.New(rand.NewSource(72)), 20_000)
-	sparse, err := BuildParallelOpts(blocks, 24, 64, ParallelOptions{Workers: 1, ForceSparse: true})
+	sparse, err := Build(context.Background(), Blocks(blocks), 24, 64,
+		Options{Workers: 1, ForceSparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := BuildParallelOpts(blocks, 24, 64, ParallelOptions{
+	sk, err := Build(context.Background(), Blocks(blocks), 24, 64, Options{
 		Workers: 4, Sketch: &SketchOptions{Width: 1 << 10},
 	})
 	if err != nil {
@@ -216,11 +219,12 @@ func FuzzSketchBackend(f *testing.F) {
 			// low-bit aliasing, so conflicts actually occur.
 			blocks[i] = uint64(b) | uint64(b&0xF0)<<8
 		}
-		sparse, err := BuildParallelOpts(blocks, 16, 4, ParallelOptions{Workers: 1, ForceSparse: true})
+		sparse, err := Build(context.Background(), Blocks(blocks), 16, 4,
+			Options{Workers: 1, ForceSparse: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sk, err := BuildParallelOpts(blocks, 16, 4, ParallelOptions{
+		sk, err := Build(context.Background(), Blocks(blocks), 16, 4, Options{
 			Workers: 1, Sketch: &SketchOptions{Width: 1 << (4 + seed%4), Depth: int(seed%3) + 1},
 		})
 		if err != nil {

@@ -72,7 +72,7 @@ func NewWindowed(n, cacheBlocks int, decay float64) (*Windowed, error) {
 }
 
 // NewSparseWindowed is NewWindowed forcing the sparse map backend at
-// any width, mirroring NewSparseBuilder.
+// any width, mirroring Options.ForceSparse.
 func NewSparseWindowed(n, cacheBlocks int, decay float64) (*Windowed, error) {
 	return newWindowed(n, cacheBlocks, decay, true)
 }

@@ -52,12 +52,7 @@ func newWindowedBackend(t *testing.T, n, cacheBlocks int, decay float64, sparse 
 
 // buildBackend runs the batch reference on the matching backend.
 func buildBackend(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
-	var bd *Builder
-	if sparse {
-		bd = NewSparseBuilder(n, cacheBlocks)
-	} else {
-		bd = NewBuilder(n, cacheBlocks)
-	}
+	bd := newBuilder(n, cacheBlocks, sparse)
 	for _, b := range blocks {
 		bd.Add(b)
 	}

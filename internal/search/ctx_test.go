@@ -26,7 +26,7 @@ func wantCanceled(t *testing.T, err error) {
 }
 
 func ctxTestProfile() *profile.Profile {
-	return profile.Build(strideTrace(64, 32, 10), 12, 64)
+	return mustProfile(strideTrace(64, 32, 10), 12, 64)
 }
 
 // TestConstructCtxCanceledEachFamily drives every climb variant with a
@@ -179,7 +179,7 @@ func TestProgressSnapshots(t *testing.T) {
 }
 
 func TestTypedOptionErrors(t *testing.T) {
-	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
+	p := mustProfile([]uint64{1, 2, 3}, 12, 64)
 	if _, err := Construct(p, 0, Options{}); !errors.Is(err, xerr.ErrInvalidOptions) {
 		t.Errorf("m=0 error %v must wrap ErrInvalidOptions", err)
 	}

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 
 	"xoridx/internal/hash"
@@ -17,7 +18,10 @@ func Example_construct() {
 			blocks = append(blocks, i*64) // stride = set count
 		}
 	}
-	p := profile.Build(blocks, 12, 64)
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), 12, 64, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
 	for _, fam := range []hash.Family{
 		hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR,
 	} {

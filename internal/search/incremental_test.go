@@ -59,7 +59,7 @@ func TestIncrementalMatchesBrute(t *testing.T) {
 		{"parallel", Options{Family: hash.FamilyGeneralXOR, Workers: 4}},
 	}
 	for _, w := range workloads {
-		p := profile.Build(w.blocks, w.n, 1<<uint(w.m))
+		p := mustProfile(w.blocks, w.n, 1<<uint(w.m))
 		for _, v := range variants {
 			inc, brute, incTrace, bruteTrace := construct2(t, p, w.m, v.opt)
 			if !inc.Matrix.Equal(brute.Matrix) {
@@ -92,7 +92,7 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << n))
 	}
-	p := profile.Build(blocks, n, 16)
+	p := mustProfile(blocks, n, 16)
 	ev := newNullEvaluator(p)
 	for trial := 0; trial < 40; trial++ {
 		k := 1 + rng.Intn(n-2)
@@ -128,7 +128,7 @@ func TestEvaluatorMatchesEstimateBasis(t *testing.T) {
 // revisit hyperplanes of earlier climbs, so the shared memo must serve
 // hits and the lookup total must grow far slower than the brute cost.
 func TestMemoHitsAcrossRestarts(t *testing.T) {
-	p := profile.Build(strideTrace(64, 32, 10), 12, 64)
+	p := mustProfile(strideTrace(64, 32, 10), 12, 64)
 	opt := Options{Family: hash.FamilyGeneralXOR, Restarts: 3, Seed: 11}
 	inc, err := Construct(p, 6, opt)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = uint64(rr.Intn(1 << uint(n)))
 		}
-		p := profile.Build(blocks, n, 1<<uint(m))
+		p := mustProfile(blocks, n, 1<<uint(m))
 		inc, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR})
 		if err != nil {
 			t.Log(err)
@@ -248,8 +248,8 @@ func TestWorkersAndEvaluatorsAgree(t *testing.T) {
 		p    *profile.Profile
 		m    int
 	}{
-		{"stride64", profile.Build(strideTrace(64, 32, 10), 12, 64), 6},
-		{"random", profile.Build(randTrace, 12, 32), 5},
+		{"stride64", mustProfile(strideTrace(64, 32, 10), 12, 64), 6},
+		{"random", mustProfile(randTrace, 12, 32), 5},
 	}
 	for _, pc := range profiles {
 		var ref Result

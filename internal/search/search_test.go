@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 )
+
+// mustProfile is the exact sequential profile.Build of an in-memory
+// trace, panicking on an invalid geometry — a test shorthand.
+func mustProfile(blocks []uint64, n, cacheBlocks int) *profile.Profile {
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), n, cacheBlocks, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 // strideTrace builds the classic conflict workload: walks a matrix
 // column-wise with a power-of-two stride, interleaved with a second
@@ -24,7 +35,7 @@ func strideTrace(stride, count, reps int) []uint64 {
 }
 
 func TestConstructValidation(t *testing.T) {
-	p := profile.Build([]uint64{1, 2, 3}, 12, 64)
+	p := mustProfile([]uint64{1, 2, 3}, 12, 64)
 	if _, err := Construct(p, 0, Options{}); err == nil {
 		t.Error("m=0 should fail")
 	}
@@ -44,7 +55,7 @@ func TestGeneralXORSolvesStrideThrash(t *testing.T) {
 	// The search must find a function with (near-)zero estimate.
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, n, 1<<m)
+	p := mustProfile(blocks, n, 1<<m)
 	res, err := Construct(p, m, Options{Family: hash.FamilyGeneralXOR})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +83,7 @@ func TestGeneralXORSolvesStrideThrash(t *testing.T) {
 func TestPermutationSolvesStrideThrash(t *testing.T) {
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, n, 1<<m)
+	p := mustProfile(blocks, n, 1<<m)
 	for _, maxIn := range []int{2, 4, 0} {
 		res, err := Construct(p, m, Options{Family: hash.FamilyPermutation, MaxInputs: maxIn})
 		if err != nil {
@@ -91,7 +102,7 @@ func TestPermutationSolvesStrideThrash(t *testing.T) {
 }
 
 func TestPermutationOneInputIsModulo(t *testing.T) {
-	p := profile.Build(strideTrace(64, 16, 4), 12, 64)
+	p := mustProfile(strideTrace(64, 16, 4), 12, 64)
 	res, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +120,7 @@ func TestBitSelectFindsHighBits(t *testing.T) {
 	// Bit selection must pick them up and eliminate the thrash.
 	const m, n = 6, 12
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, n, 1<<m)
+	p := mustProfile(blocks, n, 1<<m)
 	res, err := Construct(p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +149,7 @@ func TestXORBeatsBitSelectOnXorPattern(t *testing.T) {
 			blocks = append(blocks, b, b^v1, b, b^v2, b, b^v1^v2)
 		}
 	}
-	p := profile.Build(blocks, n, 1<<m)
+	p := mustProfile(blocks, n, 1<<m)
 	bs, err := Construct(p, m, Options{Family: hash.FamilyBitSelect})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +175,7 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = uint64(rng.Intn(1 << 10))
 		}
-		p := profile.Build(blocks, 12, 64)
+		p := mustProfile(blocks, 12, 64)
 		for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
 			res, err := Construct(p, 6, Options{Family: fam, MaxInputs: 2})
 			if err != nil {
@@ -179,7 +190,7 @@ func TestSearchNeverWorseThanBaselineEstimate(t *testing.T) {
 
 func TestRestartsOnlyImprove(t *testing.T) {
 	blocks := strideTrace(16, 64, 5)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	base, err := Construct(p, 6, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +209,7 @@ func TestRestartsOnlyImprove(t *testing.T) {
 
 func TestMaxIterationsCap(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	res, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +221,7 @@ func TestMaxIterationsCap(t *testing.T) {
 
 func TestGeneralXORWithInputLimitRespectsBound(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	res, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +240,7 @@ func TestResultMatrixAlwaysFullRank(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(4096))
 	}
-	p := profile.Build(blocks, 12, 256)
+	p := mustProfile(blocks, 12, 256)
 	for _, fam := range []hash.Family{hash.FamilyBitSelect, hash.FamilyPermutation, hash.FamilyGeneralXOR} {
 		for _, maxIn := range []int{0, 2, 4} {
 			if fam == hash.FamilyBitSelect && maxIn != 0 {
@@ -274,7 +285,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 				blocks[i] = uint64(rng.Intn(1<<12)) &^ 0x30
 			}
 		}
-		p := profile.Build(blocks, 12, 64)
+		p := mustProfile(blocks, 12, 64)
 		seq, err := Construct(p, 6, Options{Family: hash.FamilyGeneralXOR})
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +308,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 
 func TestAnnealFindsStrideSolution(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	res, err := Anneal(p, 6, AnnealOptions{Steps: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +335,7 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(2048))
 	}
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	res, err := Anneal(p, 6, AnnealOptions{Steps: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +349,7 @@ func TestAnnealNeverReportsWorseThanVisited(t *testing.T) {
 }
 
 func TestAnnealValidation(t *testing.T) {
-	p := profile.Build([]uint64{1, 2}, 10, 8)
+	p := mustProfile([]uint64{1, 2}, 10, 8)
 	if _, err := Anneal(p, 0, AnnealOptions{}); err == nil {
 		t.Fatal("m=0 must fail")
 	}
@@ -349,7 +360,7 @@ func TestAnnealValidation(t *testing.T) {
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	blocks := strideTrace(32, 16, 5)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	a, err := Anneal(p, 6, AnnealOptions{Steps: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +376,7 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 
 func TestConstructiveCoversStride(t *testing.T) {
 	blocks := strideTrace(64, 32, 10)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 	res, err := Constructive(p, 6, 2, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +404,7 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = uint64(i%64)*64 + uint64(rng.Intn(4))
 		}
-		p := profile.Build(blocks, 12, 64)
+		p := mustProfile(blocks, 12, 64)
 		cons, err := Constructive(p, 6, 2, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +426,7 @@ func TestConstructiveVsHillClimb(t *testing.T) {
 }
 
 func TestConstructiveValidation(t *testing.T) {
-	p := profile.Build([]uint64{1}, 10, 8)
+	p := mustProfile([]uint64{1}, 10, 8)
 	if _, err := Constructive(p, 0, 2, 8); err == nil {
 		t.Fatal("m=0 must fail")
 	}
@@ -433,7 +444,7 @@ func TestSearchAtWiderAddressSpace(t *testing.T) {
 			blocks = append(blocks, i<<10)
 		}
 	}
-	p := profile.Build(blocks, 20, 1<<10)
+	p := mustProfile(blocks, 20, 1<<10)
 	res, err := Construct(p, 10, Options{Family: hash.FamilyPermutation, MaxInputs: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func conflictProfile(n, m int) *profile.Profile {
 			}
 		}
 	}
-	return profile.Build(blocks, n, 1<<m)
+	return mustProfile(blocks, n, 1<<m)
 }
 
 func sampleSnapshot() *Snapshot {

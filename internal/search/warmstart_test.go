@@ -26,7 +26,7 @@ func warmTestProfile(seed int64, n, m int) *profile.Profile {
 			blocks = append(blocks, uint64(rng.Intn(1<<uint(n))))
 		}
 	}
-	return profile.Build(blocks, n, 1<<uint(m))
+	return mustProfile(blocks, n, 1<<uint(m))
 }
 
 // randomFullRank draws a random n×m matrix of full column rank.

@@ -22,6 +22,16 @@ import (
 	"xoridx/internal/xerr"
 )
 
+// mustProfile is the exact sequential profile.Build of an in-memory
+// trace, panicking on an invalid geometry — a test shorthand.
+func mustProfile(blocks []uint64, n, cacheBlocks int) *profile.Profile {
+	p, err := profile.Build(context.Background(), profile.Blocks(blocks), n, cacheBlocks, profile.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // serveConfig is the small general-XOR geometry the serve tests tune:
 // 64 direct-mapped blocks (m=6) over 12 address bits.
 func serveConfig() core.Config {
@@ -271,7 +281,7 @@ func TestServeDecayZeroMatchesBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := profile.Build(all, 12, 64)
+	want := mustProfile(all, 12, 64)
 	profilesEqual(t, got, want)
 	if s.Stats().Rotations != 2 {
 		t.Fatalf("rotations = %d, want 2", s.Stats().Rotations)
@@ -509,7 +519,7 @@ func TestServeIngestRetriesTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profilesEqual(t, got, profile.Build(all, 12, 64))
+	profilesEqual(t, got, mustProfile(all, 12, 64))
 
 	// Without retries the same schedule must surface the transient.
 	faulty2, err := faultio.NewReader(bytes.NewReader(stream.Bytes()), faultio.Schedule{

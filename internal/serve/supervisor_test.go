@@ -561,7 +561,7 @@ func TestServeStaleAggregateNotPublished(t *testing.T) {
 func TestValidateAggregate(t *testing.T) {
 	pos := 0
 	blocks := phaseBlocks(0, 512, &pos)
-	p := profile.Build(blocks, 12, 64)
+	p := mustProfile(blocks, 12, 64)
 
 	if err := validateAggregate(p, 12, 64); err != nil {
 		t.Fatalf("healthy aggregate rejected: %v", err)

@@ -27,8 +27,8 @@ import (
 // *FormatError. The kernel pages the mapping in on demand, so decoding
 // performs zero read syscalls and zero buffer copies — ReadBlocks
 // writes block addresses straight from the mapped pages into the
-// caller's chunk, which is how profile.BuildStream shards directly
-// over the mapping (DESIGN.md §17).
+// caller's chunk, which is how a profile.Build over profile.Stream
+// shards directly over the mapping (DESIGN.md §17).
 //
 // An MmapReader must not be shared between goroutines. Close releases
 // the mapping (a no-op for NewMmapReaderBytes); no method may be

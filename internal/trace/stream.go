@@ -12,9 +12,9 @@ import (
 
 // Reader streams accesses out of the binary format one record at a
 // time, without materializing the whole trace. It is the input side of
-// the chunked profiling pipeline (profile.BuildStream): a ROADMAP-scale
-// trace is decoded in fixed-size block chunks that are handed to the
-// sharded profile builders as they arrive.
+// the chunked profiling pipeline (profile.Build over profile.Stream):
+// a ROADMAP-scale trace is decoded in fixed-size block chunks that are
+// handed to the sharded profile builders as they arrive.
 //
 // The header (name, ops, access count) is read eagerly by NewReader;
 // records are decoded lazily by Next / ReadBlocks. A Reader must not be
