@@ -716,7 +716,7 @@ func capacityHeavyBlocks(length int) []uint64 {
 // loopHeavyBlocks cycles tight loops whose working sets fit the
 // capacity filter, so almost every access is a conflict candidate that
 // must walk: the workload where the gate is pure overhead and the
-// arena stack has to earn it back.
+// recency window has to earn it back.
 func loopHeavyBlocks(length int) []uint64 {
 	r := rand.New(rand.NewSource(8765))
 	blocks := make([]uint64, 0, length)
@@ -732,8 +732,8 @@ func loopHeavyBlocks(length int) []uint64 {
 	return blocks
 }
 
-// BenchmarkBuild measures the sequential Fig. 1 pass — arena stack,
-// distance-gated walks, backend-specialized accumulation — against the
+// BenchmarkBuild measures the sequential Fig. 1 pass — distance gate,
+// recency-window walks, backend-specialized accumulation — against the
 // pre-overhaul reference on three workload shapes, requiring
 // bit-identical profiles and recording the speedups in the sequential
 // section of BENCH_profile.json.

@@ -190,8 +190,11 @@ func main() {
 		return
 	}
 	if *analyze {
-		a := profile.AnalyzeConflicts(tr.Blocks(*blockBytes, *addrBits),
+		a, err := profile.AnalyzeConflicts(tr.Blocks(*blockBytes, *addrBits),
 			*addrBits, *cacheBytes / *blockBytes, 8, 12)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Print(a.Report(*blockBytes))
 		return
 	}

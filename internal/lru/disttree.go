@@ -1,33 +1,33 @@
 package lru
 
-import "sort"
+import "fmt"
 
 // DistanceTree computes exact LRU stack distances in O(log u) per
 // access using Olken's order-statistics approach. The stack distance of
 // an access is the number of distinct blocks referenced since the
 // previous access to the same block — precisely the LRU-stack depth,
-// but without the linear walk of Stack.Depth.
+// but without a linear walk.
 //
 // The order statistics live in a Fenwick (binary indexed) tree over
 // virtual access times: each live block owns one set slot at the time
 // of its most recent access, so "how many blocks were accessed more
-// recently than time t" is one prefix query. A Fenwick tree beats the
-// treap this structure used before PR 5 on constants — a handful of
-// sequential int32 adds per access, no per-node heap allocation, no
-// recursion — which matters because the profiling distance gate
-// (DESIGN.md §12) runs it once per trace access. The virtual clock
-// only moves forward, so when it reaches the end of the array the
-// live times are compacted back to 1..u (amortized O(1): the array is
-// kept at least 4x the live population).
+// recently than time t" is one prefix query. A Fenwick tree is a
+// handful of sequential int32 adds per access with no per-node heap
+// allocation and no recursion, which matters because the profiling
+// distance gate (DESIGN.md §12) runs it once per trace access. The
+// virtual clock only moves forward, so when it reaches the end of the
+// array the live times are compacted back to 1..u (amortized O(1): the
+// array is kept at least 4x the live population).
+//
+// Besides distances the tree is the whole-stream recency state of the
+// profiling pass: slots records which block claimed each time slot, so
+// Recency lists every live block by most recent access and compaction
+// renumbers the live slots in one ordered scan, with no sort.
 type DistanceTree struct {
-	fen     []int32           // Fenwick tree over time slots 1..len-1
-	byBlk   map[uint64]uint64 // block -> time of most recent access
-	clock   uint64            // last assigned virtual time
-	scratch []blockTime       // compaction buffer, reused across runs
-}
-
-type blockTime struct {
-	block, time uint64
+	fen   []int32           // Fenwick tree over time slots 1..len-1
+	slots []uint64          // slots[i] = block that claimed time i (live iff slot i is set)
+	byBlk map[uint64]uint64 // block -> time of most recent access
+	clock uint64            // last assigned virtual time
 }
 
 // minTreeSlots is the initial (and minimum) Fenwick array length.
@@ -49,12 +49,33 @@ const (
 func NewDistanceTree() *DistanceTree {
 	return &DistanceTree{
 		fen:   make([]int32, minTreeSlots),
+		slots: make([]uint64, minTreeSlots),
 		byBlk: make(map[uint64]uint64),
 	}
 }
 
+// NewDistanceTreeFrom rebuilds a tree from a most-recent-first
+// recency listing — the inverse of Recency, used to restore profiling
+// state from a checkpoint. Blocks must be distinct; a duplicate means
+// the snapshot is corrupt and is reported rather than panicking.
+func NewDistanceTreeFrom(recency []uint64) (*DistanceTree, error) {
+	t := NewDistanceTree()
+	for i := len(recency) - 1; i >= 0; i-- {
+		if !t.Record(recency[i]) {
+			return nil, fmt.Errorf("lru: duplicate block %#x in recency snapshot", recency[i])
+		}
+	}
+	return t, nil
+}
+
 // Len returns the number of live (ever-touched) blocks.
 func (t *DistanceTree) Len() int { return len(t.byBlk) }
+
+// Contains reports whether block has been touched before.
+func (t *DistanceTree) Contains(block uint64) bool {
+	_, ok := t.byBlk[block]
+	return ok
+}
 
 // add updates the Fenwick tree at time slot i.
 func (t *DistanceTree) add(i uint64, delta int32) {
@@ -82,6 +103,7 @@ func (t *DistanceTree) begin(block uint64) (old uint64, ok bool) {
 	old, ok = t.byBlk[block]
 	t.clock++
 	t.byBlk[block] = t.clock
+	t.slots[t.clock] = block
 	return old, ok
 }
 
@@ -138,32 +160,61 @@ func (t *DistanceTree) Record(block uint64) (cold bool) {
 	return !ok
 }
 
+// Recency returns every live block ordered by most recent access, most
+// recent first: the LRU stack the tree encodes, top to bottom.
+func (t *DistanceTree) Recency() []uint64 {
+	set := pointValues(append([]int32(nil), t.fen[:t.clock+1]...))
+	out := make([]uint64, 0, len(t.byBlk))
+	for i := t.clock; i > 0; i-- {
+		if set[i] != 0 {
+			out = append(out, t.slots[i])
+		}
+	}
+	return out
+}
+
+// pointValues turns a prefix of a Fenwick array into the per-slot
+// values it sums, in place — the inverse of the O(size) construction
+// in compact. A node's sum covers its children, all at smaller
+// indices, so walking downward subtracts each node's still-complete
+// sum from its parent; parents past the prefix are never read.
+func pointValues(fen []int32) []int32 {
+	for i := len(fen) - 1; i > 0; i-- {
+		if j := i + i&(-i); j < len(fen) {
+			fen[j] -= fen[i]
+		}
+	}
+	return fen
+}
+
 // compact renumbers the live blocks' times to 1..u in recency order and
 // resizes the Fenwick array to keep at least 4x headroom, so the
-// amortized cost per access stays O(log u).
+// amortized cost per access stays O(log u). The live slots are read off
+// in one ascending scan of the point values, so no sort is needed.
 func (t *DistanceTree) compact() {
-	t.scratch = t.scratch[:0]
-	for b, tm := range t.byBlk {
-		t.scratch = append(t.scratch, blockTime{block: b, time: tm})
+	set := pointValues(t.fen[:t.clock+1])
+	u := uint64(0)
+	for i := uint64(1); i <= t.clock; i++ {
+		if set[i] != 0 {
+			u++
+			t.slots[u] = t.slots[i]
+			t.byBlk[t.slots[u]] = u
+		}
 	}
-	sort.Slice(t.scratch, func(i, j int) bool { return t.scratch[i].time < t.scratch[j].time })
-	u := len(t.scratch)
 	size := minTreeSlots
-	for size <= 4*u {
+	for size <= 4*int(u) {
 		size <<= 1
 	}
 	if size != len(t.fen) {
 		t.fen = make([]int32, size)
+		slots := make([]uint64, size)
+		copy(slots, t.slots[:u+1])
+		t.slots = slots
 	} else {
-		for i := range t.fen {
-			t.fen[i] = 0
-		}
-	}
-	for i, bt := range t.scratch {
-		t.byBlk[bt.block] = uint64(i + 1)
+		clear(t.fen)
 	}
 	// Build the all-ones prefix over slots 1..u in O(size).
-	for i := 1; i <= u; i++ {
+	for i := uint64(1); i <= u; i++ {
 		t.fen[i] = 1
 	}
 	for i := 1; i < len(t.fen); i++ {
@@ -171,7 +222,7 @@ func (t *DistanceTree) compact() {
 			t.fen[j] += t.fen[i]
 		}
 	}
-	t.clock = uint64(u)
+	t.clock = u
 }
 
 // FAMisses counts misses of a fully-associative LRU cache with the

@@ -1,7 +1,9 @@
 package lru
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,14 +14,14 @@ func TestDistanceTreeMatchesStack(t *testing.T) {
 	d := NewDistanceTree()
 	for i := 0; i < 20000; i++ {
 		b := uint64(rng.Intn(300))
-		want := s.Touch(b)
+		want := touch(s, b)
 		got := d.Touch(b)
 		if got != want {
 			t.Fatalf("access %d block %d: tree %d, stack %d", i, b, got, want)
 		}
 	}
-	if d.Len() != s.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", d.Len(), s.Len())
+	if n := len(s.Blocks()); d.Len() != n {
+		t.Fatalf("Len mismatch: %d vs %d", d.Len(), n)
 	}
 }
 
@@ -152,5 +154,64 @@ func TestTouchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Touch allocates %.1f per op; removed nodes must be reused", allocs)
+	}
+}
+
+// TestDistanceTreeRecencyMatchesStack checks the tree's recency listing
+// against a reference stack across many compactions: a small universe
+// compacts in place at the minimum array size, a growing one forces
+// the array to double, and the block space's top value must survive
+// renumbering like any other block.
+func TestDistanceTreeRecencyMatchesStack(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		universe int
+		grow     bool
+	}{
+		{"in-place", 300, false},
+		{"growing", 300, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			s := NewStack()
+			d := NewDistanceTree()
+			fresh := uint64(1 << 20)
+			compactions := 0
+			for i := 0; i < 150000; i++ {
+				b := uint64(rng.Intn(tc.universe))
+				switch {
+				case i%97 == 0:
+					b = math.MaxUint64
+				case tc.grow && i%3 == 0:
+					b = fresh
+					fresh++
+				}
+				before := d.clock
+				if got, want := d.Touch(b), touch(s, b); got != want {
+					t.Fatalf("access %d block %#x: tree %d, stack %d", i, b, got, want)
+				}
+				if d.clock <= before {
+					compactions++
+				}
+				if i%5000 == 0 || i == 149999 {
+					if !slices.Equal(d.Recency(), s.Blocks()) {
+						t.Fatalf("access %d: recency diverges from the stack", i)
+					}
+				}
+			}
+			if compactions < 5 {
+				t.Fatalf("only %d compactions; the test must exercise renumbering", compactions)
+			}
+			if tc.grow && len(d.fen) <= minTreeSlots {
+				t.Fatalf("array never grew (%d slots)", len(d.fen))
+			}
+			restored, err := NewDistanceTreeFrom(d.Recency())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(restored.Recency(), s.Blocks()) {
+				t.Fatal("NewDistanceTreeFrom does not round-trip the listing")
+			}
+		})
 	}
 }

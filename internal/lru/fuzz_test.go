@@ -2,17 +2,18 @@ package lru
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
 // FuzzStackRoundTrip round-trips arbitrary access sequences through the
 // arena stack's snapshot representation: drive a stack with fuzzer-
-// chosen touches and removes, snapshot it with Blocks, rebuild it with
-// NewStackFrom, and require the rebuilt arena to be observably
-// identical — same listing, same membership, and identical behaviour
-// under a further shared access suffix. This is the lru half of the
-// profiling checkpoint codec contract (profile snapshots persist
-// exactly this listing).
+// chosen touches, snapshot it with Blocks, rebuild it with NewStackFrom,
+// and require the rebuilt arena to be observably identical — same
+// listing and identical behaviour under a further shared access
+// suffix. The same sequence drives a DistanceTree, whose Recency must
+// list the same order and survive the same round trip through
+// NewDistanceTreeFrom: profile snapshots persist exactly this listing.
 func FuzzStackRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 2, 0, 1, 0})
@@ -23,40 +24,43 @@ func FuzzStackRoundTrip(f *testing.F) {
 			data = data[:4096]
 		}
 		s := NewStack()
+		tree := NewDistanceTree()
 		for i := 0; i+1 < len(data); i += 2 {
-			v := binary.LittleEndian.Uint16(data[i:])
-			b := uint64(v >> 1)
-			if v&1 == 1 && s.Contains(b) {
-				s.Remove(b)
-				continue
-			}
-			s.Touch(b)
+			b := uint64(binary.LittleEndian.Uint16(data[i:]) >> 1)
+			touch(s, b)
+			tree.Touch(b)
 		}
 		snapshot := s.Blocks()
+		if !slices.Equal(tree.Recency(), snapshot) {
+			t.Fatalf("tree recency %v, stack %v", tree.Recency(), snapshot)
+		}
 		restored, err := NewStackFrom(snapshot)
 		if err != nil {
 			t.Fatalf("snapshot of a live stack rejected: %v", err)
 		}
-		if restored.Len() != s.Len() {
-			t.Fatalf("restored Len = %d, want %d", restored.Len(), s.Len())
+		if !slices.Equal(restored.Blocks(), snapshot) {
+			t.Fatalf("restored %v, want %v", restored.Blocks(), snapshot)
 		}
-		got := restored.Blocks()
-		for i := range snapshot {
-			if got[i] != snapshot[i] {
-				t.Fatalf("block %d: %#x, want %#x", i, got[i], snapshot[i])
-			}
+		restoredTree, err := NewDistanceTreeFrom(snapshot)
+		if err != nil {
+			t.Fatalf("snapshot of a live tree rejected: %v", err)
 		}
-		// The restored stack must behave identically under further use.
+		// The restored state must behave identically under further use.
 		for i := 0; i+1 < len(data) && i < 64; i += 2 {
 			b := uint64(binary.LittleEndian.Uint16(data[i:]))
-			if d1, d2 := s.Touch(b), restored.Touch(b); d1 != d2 {
-				t.Fatalf("restored stack diverges at suffix access %d: %d vs %d", i/2, d2, d1)
+			d1, d2, d3 := touch(s, b), touch(restored, b), restoredTree.Touch(b)
+			if d1 != d2 || d1 != d3 {
+				t.Fatalf("restored state diverges at suffix access %d: stack %d, restored %d, tree %d", i/2, d1, d2, d3)
 			}
 		}
 		// Duplicates in a snapshot must still be rejected.
 		if len(snapshot) > 0 {
-			if _, err := NewStackFrom(append([]uint64{snapshot[len(snapshot)-1]}, snapshot...)); err == nil {
+			dup := append([]uint64{snapshot[len(snapshot)-1]}, snapshot...)
+			if _, err := NewStackFrom(dup); err == nil {
 				t.Fatal("duplicated snapshot accepted")
+			}
+			if _, err := NewDistanceTreeFrom(dup); err == nil {
+				t.Fatal("duplicated recency listing accepted")
 			}
 		}
 	})

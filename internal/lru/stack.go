@@ -1,22 +1,26 @@
-// Package lru provides the stack substrate for conflict-miss profiling
-// and fully-associative reference simulation.
+// Package lru provides the recency substrate for conflict-miss
+// profiling and fully-associative reference simulation.
 //
-// The central structure is Stack, an LRU stack over cache-block
-// addresses: blocks are ordered by recency, most recent at the top. The
-// profiling algorithm of Vandierendonck et al. (DATE 2006, Fig. 1)
-// walks the blocks above a re-referenced block to accumulate conflict
-// vectors; because it only walks when the reuse distance is at most the
-// cache capacity, the walk is bounded by the cache size in blocks.
+// The profiling algorithm of Vandierendonck et al. (DATE 2006, Fig. 1)
+// walks the blocks above a re-referenced block on an LRU stack to
+// accumulate conflict vectors; because it only walks when the reuse
+// distance is at most the cache capacity, the walk never goes deeper
+// than the cache size in blocks. The package splits that stack in two
+// (DESIGN.md §12):
 //
-// Stack is arena-backed: nodes live in one growable slab of int32-linked
-// entries instead of individually heap-allocated list elements, so a
-// profiling pass performs zero per-block allocations after the slab
-// warms up and the recency walk reads nearby slab entries instead of
-// chasing scattered pointers (DESIGN.md §12).
+//   - DistanceTree holds the whole-stream recency order. It implements
+//     Olken's order-statistics approach over a Fenwick tree, giving
+//     exact reuse distances in O(log u) per access (u live blocks),
+//     classifies each access against the capacity filter (TouchGate)
+//     and lists the full LRU order on demand (Recency).
+//   - Window holds only the top limit+1 entries, most recent first, in
+//     one contiguous slice: every block a conflict walk can reach, with
+//     no membership map and no pointer chasing.
 //
-// For exact reuse (stack) distances without a bounded walk, DistanceTree
-// implements Olken's order-statistics approach over a Fenwick tree,
-// giving O(log u) per access where u is the number of live blocks.
+// Stack is a full LRU stack in an int32-linked arena slab with O(1)
+// membership lookup. The sharded profiler's reconciler keeps one as
+// its boundary state, because it walks above arbitrary blocks without
+// a distance gate.
 package lru
 
 import (
@@ -26,8 +30,8 @@ import (
 
 // Node is one arena slot of a Stack: a block address and the int32
 // slab indices of its neighbours (Prev toward the top, i.e. more
-// recent). Exported so the profiling hot loop can walk the slab
-// directly via Raw without a callback per element.
+// recent). Exported so a hot loop can walk the slab directly via Raw
+// without a callback per element.
 type Node struct {
 	Block      uint64
 	Prev, Next int32 // nilIdx terminates
@@ -44,19 +48,11 @@ type Stack struct {
 	nodes   []Node
 	byBlock map[uint64]int32
 	top     int32
-	bottom  int32
-	free    int32 // freelist head, linked through Next
-	size    int
 }
 
 // NewStack returns an empty LRU stack.
 func NewStack() *Stack {
-	return &Stack{
-		byBlock: make(map[uint64]int32),
-		top:     nilIdx,
-		bottom:  nilIdx,
-		free:    nilIdx,
-	}
+	return &Stack{byBlock: make(map[uint64]int32), top: nilIdx}
 }
 
 // NewStackFrom rebuilds a stack from a top-to-bottom block listing —
@@ -68,7 +64,7 @@ func NewStackFrom(topToBottom []uint64) (*Stack, error) {
 	s.nodes = make([]Node, 0, len(topToBottom))
 	for i := len(topToBottom) - 1; i >= 0; i-- {
 		b := topToBottom[i]
-		if s.Contains(b) {
+		if _, ok := s.byBlock[b]; ok {
 			return nil, fmt.Errorf("lru: duplicate block %#x in stack snapshot", b)
 		}
 		s.Push(b)
@@ -76,101 +72,40 @@ func NewStackFrom(topToBottom []uint64) (*Stack, error) {
 	return s, nil
 }
 
-// Len returns the number of distinct blocks on the stack.
-func (s *Stack) Len() int { return s.size }
-
-// Contains reports whether block has been touched before.
-func (s *Stack) Contains(block uint64) bool {
-	_, ok := s.byBlock[block]
-	return ok
-}
-
-// alloc takes a slot from the freelist or grows the slab.
-func (s *Stack) alloc(block uint64) int32 {
-	if s.free != nilIdx {
-		idx := s.free
-		s.free = s.nodes[idx].Next
-		s.nodes[idx] = Node{Block: block, Prev: nilIdx, Next: nilIdx}
-		return idx
-	}
-	if len(s.nodes) >= math.MaxInt32 {
-		panic("lru: stack exceeds 2^31-1 blocks")
-	}
-	s.nodes = append(s.nodes, Node{Block: block, Prev: nilIdx, Next: nilIdx})
-	return int32(len(s.nodes) - 1)
-}
-
 // Push puts a new block on top of the stack. The block must not already
-// be present (use Touch for the general case).
+// be present.
 func (s *Stack) Push(block uint64) {
 	if _, ok := s.byBlock[block]; ok {
 		panic("lru: Push of block already on stack")
 	}
-	idx := s.alloc(block)
-	s.nodes[idx].Next = s.top
+	if len(s.nodes) >= math.MaxInt32 {
+		panic("lru: stack exceeds 2^31-1 blocks")
+	}
+	idx := int32(len(s.nodes))
+	s.nodes = append(s.nodes, Node{Block: block, Prev: nilIdx, Next: s.top})
 	if s.top != nilIdx {
 		s.nodes[s.top].Prev = idx
 	}
 	s.top = idx
-	if s.bottom == nilIdx {
-		s.bottom = idx
-	}
 	s.byBlock[block] = idx
-	s.size++
 }
 
-// unlink detaches the node at idx from the recency list without
-// touching the membership map or the freelist.
-func (s *Stack) unlink(idx int32) {
-	n := s.nodes[idx]
-	if n.Prev != nilIdx {
-		s.nodes[n.Prev].Next = n.Next
-	} else {
-		s.top = n.Next
-	}
-	if n.Next != nilIdx {
-		s.nodes[n.Next].Prev = n.Prev
-	} else {
-		s.bottom = n.Prev
-	}
-}
-
-// MoveToTop moves an existing block to the top of the stack.
-func (s *Stack) MoveToTop(block uint64) {
-	idx, ok := s.byBlock[block]
-	if !ok {
-		panic("lru: MoveToTop of block not on stack")
-	}
-	s.MoveIndexToTop(idx)
-}
-
-// MoveIndexToTop is MoveToTop addressed by arena slot — pairs with
-// Index and Raw in hot loops that have already resolved the block, so
-// the move costs no second map lookup.
+// MoveIndexToTop moves the block in arena slot idx to the top of the
+// stack — pairs with Index and Raw in hot loops that have already
+// resolved the block, so the move costs no second map lookup.
 func (s *Stack) MoveIndexToTop(idx int32) {
 	if s.top == idx {
 		return
 	}
-	s.unlink(idx)
+	n := s.nodes[idx]
+	s.nodes[n.Prev].Next = n.Next // idx is not the top, so Prev is set
+	if n.Next != nilIdx {
+		s.nodes[n.Next].Prev = n.Prev
+	}
 	s.nodes[idx].Prev = nilIdx
 	s.nodes[idx].Next = s.top
 	s.nodes[s.top].Prev = idx
 	s.top = idx
-}
-
-// Remove deletes a block from the stack, returning its arena slot to
-// the freelist for reuse by a later Push. The profiling pass never
-// evicts, but bounded simulations (and tests exercising slab reuse) do.
-func (s *Stack) Remove(block uint64) {
-	idx, ok := s.byBlock[block]
-	if !ok {
-		panic("lru: Remove of block not on stack")
-	}
-	s.unlink(idx)
-	delete(s.byBlock, block)
-	s.nodes[idx] = Node{Next: s.free}
-	s.free = idx
-	s.size--
 }
 
 // Raw exposes the arena slab and the index of the top node (nilIdx when
@@ -187,68 +122,16 @@ func (s *Stack) Raw() (nodes []Node, top int32) {
 }
 
 // Index returns the arena slot of a block and whether it is present —
-// the slab-level counterpart of Contains, for callers walking via Raw.
+// the membership test, and the handle Raw walks and MoveIndexToTop
+// take.
 func (s *Stack) Index(block uint64) (int32, bool) {
 	idx, ok := s.byBlock[block]
 	return idx, ok
 }
 
-// WalkAbove calls fn for every block strictly above the given block on
-// the stack, from most recent downward, stopping early when fn returns
-// false or after limit blocks (limit < 0 means no limit). It returns
-// the number of blocks visited and whether the walk reached the target
-// block within the limit (reached == false means the reuse distance
-// exceeds limit). The target must be present on the stack.
-//
-// This is exactly the traversal of the paper's Fig. 1: the blocks above
-// x are the blocks accessed since the previous access to x.
-func (s *Stack) WalkAbove(block uint64, limit int, fn func(above uint64) bool) (visited int, reached bool) {
-	target, ok := s.byBlock[block]
-	if !ok {
-		panic("lru: WalkAbove of block not on stack")
-	}
-	for i := s.top; i != nilIdx; i = s.nodes[i].Next {
-		if i == target {
-			return visited, true
-		}
-		if limit >= 0 && visited >= limit {
-			return visited, false
-		}
-		if fn != nil && !fn(s.nodes[i].Block) {
-			return visited, false
-		}
-		visited++
-	}
-	panic("lru: stack corrupted: target not reachable from top")
-}
-
-// Depth returns the 0-based position of the block from the top (0 = most
-// recent). The reuse distance of the next access to this block would be
-// Depth. Cost is O(Depth); prefer DistanceTree when distances are large.
-func (s *Stack) Depth(block uint64) int {
-	d, reached := s.WalkAbove(block, -1, nil)
-	if !reached {
-		panic("lru: unreachable")
-	}
-	return d
-}
-
-// Touch records an access: pushes the block if new (returning distance
-// -1, the convention for a compulsory/cold access), otherwise returns
-// its current depth and moves it to the top.
-func (s *Stack) Touch(block uint64) (distance int) {
-	if !s.Contains(block) {
-		s.Push(block)
-		return -1
-	}
-	d := s.Depth(block)
-	s.MoveToTop(block)
-	return d
-}
-
-// Blocks returns all blocks from top to bottom. Intended for tests.
+// Blocks returns all blocks from top to bottom.
 func (s *Stack) Blocks() []uint64 {
-	out := make([]uint64, 0, s.size)
+	out := make([]uint64, 0, len(s.nodes))
 	for i := s.top; i != nilIdx; i = s.nodes[i].Next {
 		out = append(out, s.nodes[i].Block)
 	}

@@ -1,12 +1,11 @@
 package lru
 
 // listStack is the pre-arena Stack implementation — a heap-allocated
-// doubly-linked *listNode list — kept verbatim as a test-only reference.
-// The differential tests below drive it in lockstep with the arena
-// Stack on randomized access sequences and require identical behaviour
-// from every operation, so the slab/freelist rewrite is proven against
-// the structure it replaced rather than against a re-derivation of the
-// same idea.
+// doubly-linked *listNode list — kept as a test-only reference. The
+// differential tests below drive it in lockstep with the arena Stack
+// on randomized access sequences and require identical behaviour from
+// every operation, so the slab rewrite is proven against the structure
+// it replaced rather than against a re-derivation of the same idea.
 
 import (
 	"math/rand"
@@ -74,13 +73,6 @@ func (s *listStack) MoveToTop(block uint64) {
 	s.top = n
 }
 
-func (s *listStack) Remove(block uint64) {
-	n := s.byBlock[block]
-	s.unlink(n)
-	delete(s.byBlock, block)
-	s.size--
-}
-
 func (s *listStack) WalkAbove(block uint64, limit int, fn func(above uint64) bool) (visited int, reached bool) {
 	target := s.byBlock[block]
 	for n := s.top; n != nil; n = n.next {
@@ -108,8 +100,8 @@ func (s *listStack) Blocks() []uint64 {
 
 // TestStackDifferentialVsList drives the arena stack and the legacy
 // linked-list stack through identical randomized op sequences — pushes,
-// moves, removes (exercising the freelist), and bounded walks — and
-// requires bit-identical observable state after every step.
+// moves and bounded Raw walks — and requires bit-identical observable
+// state after every step.
 func TestStackDifferentialVsList(t *testing.T) {
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
@@ -119,33 +111,38 @@ func TestStackDifferentialVsList(t *testing.T) {
 		ref := newListStack()
 		for step := 0; step < 400; step++ {
 			b := uint64(rng.Intn(universe))
+			idx, present := arena.Index(b)
+			if present != ref.Contains(b) {
+				t.Fatalf("trial %d step %d: membership of %d diverges", trial, step, b)
+			}
 			switch op := rng.Intn(10); {
-			case op < 5: // touch: push or move-to-top
-				if arena.Contains(b) != ref.Contains(b) {
-					t.Fatalf("trial %d step %d: Contains(%d) diverges", trial, step, b)
-				}
-				if arena.Contains(b) {
-					arena.MoveToTop(b)
+			case op < 6: // touch: push or move-to-top
+				if present {
+					arena.MoveIndexToTop(idx)
 					ref.MoveToTop(b)
 				} else {
 					arena.Push(b)
 					ref.Push(b)
 				}
-			case op < 7: // remove, recycling the arena slot
-				if arena.Contains(b) {
-					arena.Remove(b)
-					ref.Remove(b)
-				}
 			default: // bounded walk over the blocks above b
-				if !arena.Contains(b) {
+				if !present {
 					continue
 				}
 				limit := rng.Intn(universe + 2)
 				var gotSeen, wantSeen []uint64
-				gotV, gotR := arena.WalkAbove(b, limit, func(y uint64) bool {
-					gotSeen = append(gotSeen, y)
-					return true
-				})
+				gotV, gotR := 0, false
+				nodes, top := arena.Raw()
+				for i := top; ; i = nodes[i].Next {
+					if i == idx {
+						gotR = true
+						break
+					}
+					if gotV >= limit {
+						break
+					}
+					gotSeen = append(gotSeen, nodes[i].Block)
+					gotV++
+				}
 				wantV, wantR := ref.WalkAbove(b, limit, func(y uint64) bool {
 					wantSeen = append(wantSeen, y)
 					return true
@@ -160,8 +157,8 @@ func TestStackDifferentialVsList(t *testing.T) {
 					}
 				}
 			}
-			if arena.Len() != ref.Len() {
-				t.Fatalf("trial %d step %d: Len %d, want %d", trial, step, arena.Len(), ref.Len())
+			if n := len(arena.Blocks()); n != ref.Len() {
+				t.Fatalf("trial %d step %d: %d blocks, want %d", trial, step, n, ref.Len())
 			}
 		}
 		got, want := arena.Blocks(), ref.Blocks()
@@ -176,46 +173,13 @@ func TestStackDifferentialVsList(t *testing.T) {
 	}
 }
 
-// TestStackFreelistReuse checks that removed slots are recycled: after
-// interleaved removes and pushes the slab must not grow beyond the peak
-// live population.
-func TestStackFreelistReuse(t *testing.T) {
-	s := NewStack()
-	for b := uint64(0); b < 64; b++ {
-		s.Push(b)
-	}
-	for round := 0; round < 100; round++ {
-		b := uint64(round % 64)
-		s.Remove(b)
-		s.Push(b + 1000*uint64(round+1)) // fresh block, recycled slot
-		s.Remove(b + 1000*uint64(round+1))
-		s.Push(b)
-	}
-	if nodes, _ := s.Raw(); len(nodes) > 65 {
-		t.Fatalf("slab grew to %d slots for 64 live blocks", len(nodes))
-	}
-	if s.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", s.Len())
-	}
-}
-
-// TestStackRemovePanics pins the Remove contract for absent blocks.
-func TestStackRemovePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Remove of absent block should panic")
-		}
-	}()
-	NewStack().Remove(42)
-}
-
 // TestStackRawWalk checks the slab-level walk contract used by the
 // profiling hot loop: following Next from Raw's top index visits the
 // same sequence as Blocks.
 func TestStackRawWalk(t *testing.T) {
 	s := NewStack()
 	for _, b := range []uint64{5, 9, 1, 9, 5, 7} {
-		s.Touch(b)
+		touch(s, b)
 	}
 	want := s.Blocks()
 	nodes, top := s.Raw()

@@ -5,6 +5,43 @@ import (
 	"testing"
 )
 
+// touch records an access on s the way the reconciler drives the stack
+// — Index, a Raw walk down to the block, then MoveIndexToTop, or Push
+// for a new block — and returns the reuse distance (-1 when new).
+func touch(s *Stack, b uint64) int {
+	target, ok := s.Index(b)
+	if !ok {
+		s.Push(b)
+		return -1
+	}
+	d := depth(s, b)
+	s.MoveIndexToTop(target)
+	return d
+}
+
+// depth returns the 0-based position of a block on s from the top.
+func depth(s *Stack, b uint64) int {
+	target, ok := s.Index(b)
+	if !ok {
+		panic("depth of absent block")
+	}
+	nodes, top := s.Raw()
+	d := 0
+	for i := top; i != target; i = nodes[i].Next {
+		d++
+	}
+	return d
+}
+
+// moveToTop moves a present block to the top of s.
+func moveToTop(s *Stack, b uint64) {
+	idx, ok := s.Index(b)
+	if !ok {
+		panic("move of absent block")
+	}
+	s.MoveIndexToTop(idx)
+}
+
 func TestStackBasicOrder(t *testing.T) {
 	s := NewStack()
 	s.Push(1)
@@ -17,8 +54,8 @@ func TestStackBasicOrder(t *testing.T) {
 			t.Fatalf("Blocks() = %v, want %v", got, want)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(got) != 3 {
+		t.Fatalf("%d blocks, want 3", len(got))
 	}
 }
 
@@ -27,7 +64,7 @@ func TestStackMoveToTop(t *testing.T) {
 	for b := uint64(1); b <= 5; b++ {
 		s.Push(b)
 	}
-	s.MoveToTop(3) // 3 5 4 2 1
+	moveToTop(s, 3) // 3 5 4 2 1
 	got := s.Blocks()
 	want := []uint64{3, 5, 4, 2, 1}
 	for i := range want {
@@ -36,8 +73,8 @@ func TestStackMoveToTop(t *testing.T) {
 		}
 	}
 	// Move bottom and top.
-	s.MoveToTop(1) // 1 3 5 4 2
-	s.MoveToTop(1) // no-op
+	moveToTop(s, 1) // 1 3 5 4 2
+	moveToTop(s, 1) // no-op
 	got = s.Blocks()
 	want = []uint64{1, 3, 5, 4, 2}
 	for i := range want {
@@ -49,62 +86,24 @@ func TestStackMoveToTop(t *testing.T) {
 
 func TestStackDepthAndTouch(t *testing.T) {
 	s := NewStack()
-	if d := s.Touch(10); d != -1 {
+	if d := touch(s, 10); d != -1 {
 		t.Fatalf("first touch distance = %d", d)
 	}
-	s.Touch(20)
-	s.Touch(30)
-	if d := s.Depth(10); d != 2 {
-		t.Fatalf("Depth(10) = %d", d)
+	touch(s, 20)
+	touch(s, 30)
+	if d := depth(s, 10); d != 2 {
+		t.Fatalf("depth(10) = %d", d)
 	}
-	if d := s.Touch(10); d != 2 {
-		t.Fatalf("Touch(10) = %d", d)
+	if d := touch(s, 10); d != 2 {
+		t.Fatalf("touch(10) = %d", d)
 	}
 	// After touching, 10 is on top.
-	if d := s.Depth(10); d != 0 {
+	if d := depth(s, 10); d != 0 {
 		t.Fatalf("post-touch depth = %d", d)
 	}
 	// Immediate re-touch has distance 0.
-	if d := s.Touch(10); d != 0 {
+	if d := touch(s, 10); d != 0 {
 		t.Fatalf("re-touch = %d", d)
-	}
-}
-
-func TestWalkAbove(t *testing.T) {
-	s := NewStack()
-	for b := uint64(1); b <= 6; b++ {
-		s.Push(b)
-	}
-	// Stack: 6 5 4 3 2 1. Blocks above 3 are 6, 5, 4.
-	var seen []uint64
-	visited, reached := s.WalkAbove(3, -1, func(b uint64) bool {
-		seen = append(seen, b)
-		return true
-	})
-	if !reached || visited != 3 {
-		t.Fatalf("visited=%d reached=%v", visited, reached)
-	}
-	want := []uint64{6, 5, 4}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("walk order %v, want %v", seen, want)
-		}
-	}
-	// Limit smaller than distance: not reached.
-	if _, reached := s.WalkAbove(1, 3, nil); reached {
-		t.Fatal("should not reach block 1 within limit 3")
-	}
-	// Limit exactly the distance: reached.
-	if _, reached := s.WalkAbove(3, 3, nil); !reached {
-		t.Fatal("limit == distance should reach")
-	}
-	// Early abort.
-	count := 0
-	if _, reached := s.WalkAbove(1, -1, func(uint64) bool { count++; return count < 2 }); reached {
-		t.Fatal("aborted walk should report not reached")
-	}
-	if count != 2 {
-		t.Fatalf("fn called %d times, want 2", count)
 	}
 }
 
@@ -112,10 +111,8 @@ func TestStackPanics(t *testing.T) {
 	s := NewStack()
 	s.Push(1)
 	for name, fn := range map[string]func(){
-		"double push":        func() { s.Push(1) },
-		"move absent":        func() { s.MoveToTop(99) },
-		"walk above absent":  func() { s.WalkAbove(99, -1, nil) },
-		"depth absent block": func() { s.Depth(99) },
+		"double push":           func() { s.Push(1) },
+		"negative window limit": func() { NewWindow(-1) },
 	} {
 		func() {
 			defer func() {
@@ -161,7 +158,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 	want := referenceDistances(blocks)
 	s := NewStack()
 	for i, b := range blocks {
-		if got := s.Touch(b); got != want[i] {
+		if got := touch(s, b); got != want[i] {
 			t.Fatalf("access %d block %d: distance %d, want %d", i, b, got, want[i])
 		}
 	}
@@ -170,7 +167,7 @@ func TestStackMatchesReferenceModel(t *testing.T) {
 func TestNewStackFromRoundTrip(t *testing.T) {
 	s := NewStack()
 	for _, b := range []uint64{10, 20, 30, 20, 40, 10} {
-		s.Touch(b)
+		touch(s, b)
 	}
 	snapshot := s.Blocks()
 	restored, err := NewStackFrom(snapshot)
@@ -187,7 +184,7 @@ func TestNewStackFromRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored stack must behave identically going forward.
-	if d1, d2 := s.Touch(30), restored.Touch(30); d1 != d2 {
+	if d1, d2 := touch(s, 30), touch(restored, 30); d1 != d2 {
 		t.Fatalf("restored stack diverges: distance %d vs %d", d2, d1)
 	}
 }
@@ -203,7 +200,7 @@ func TestNewStackFromEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("empty snapshot restored %d blocks", s.Len())
+	if n := len(s.Blocks()); n != 0 {
+		t.Fatalf("empty snapshot restored %d blocks", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"xoridx/internal/gf2"
 	"xoridx/internal/lru"
 )
 
@@ -33,47 +34,46 @@ type Analysis struct {
 // additionally records the top conflicting block pairs whose XOR falls
 // among the topVectors hottest conflict vectors. Memory is bounded by
 // the number of distinct hot pairs, which the hot-vector filter keeps
-// small. Like NewBuilder, it panics on an out-of-range geometry.
-func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int) *Analysis {
+// small. An out-of-range geometry is a wrapped xerr.ErrInvalidOptions.
+func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int) (*Analysis, error) {
 	p, err := Build(context.Background(), Blocks(blocks), n, cacheBlocks, Options{})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	hot := p.HotVectors(topVectors)
 	hotSet := make(map[uint64]bool, len(hot))
 	for _, vc := range hot {
 		hotSet[uint64(vc.Vec)] = true
 	}
-	// Second pass: same distance-gated walk as Build, but counting
-	// pairs for hot vectors. The Olken gate classifies each access
-	// before the stack is touched, so capacity misses contribute
-	// nothing and — unlike the old walk-then-undo scheme — cost no
-	// stack traversal at all.
+	// Second pass: the same gate and window walk as Build, but
+	// counting pairs for hot vectors. The gate classifies each access
+	// before the window is read, so first touches and capacity misses
+	// contribute nothing and cost no walk.
 	pairs := make(map[[2]uint64]uint64)
-	mask := p.maskValue()
-	stack := lru.NewStack()
+	mask := uint64(gf2.Mask(n))
+	win := lru.NewWindow(cacheBlocks)
 	tree := lru.NewDistanceTree()
 	for _, raw := range blocks {
 		b := raw & mask
-		switch tree.TouchGate(b, cacheBlocks) {
-		case lru.GateCold:
-			stack.Push(b)
+		if tree.TouchGate(b, cacheBlocks) != lru.GateWithin {
+			win.Push(b)
 			continue
-		case lru.GateWithin:
-			target, _ := stack.Index(b)
-			nodes, top := stack.Raw()
-			for i := top; i != target; i = nodes[i].Next {
-				y := nodes[i].Block
-				if hotSet[b^y] {
-					key := [2]uint64{b, y}
-					if key[0] > key[1] {
-						key[0], key[1] = key[1], key[0]
-					}
-					pairs[key]++
-				}
-			}
 		}
-		stack.MoveToTop(b)
+		d := 0
+		for _, y := range win.Blocks() {
+			if y == b {
+				break
+			}
+			if hotSet[b^y] {
+				key := [2]uint64{b, y}
+				if key[0] > key[1] {
+					key[0], key[1] = key[1], key[0]
+				}
+				pairs[key]++
+			}
+			d++
+		}
+		win.MoveToTop(d)
 	}
 	out := &Analysis{Profile: p}
 	for k, c := range pairs {
@@ -93,12 +93,7 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	if len(out.HotPairs) > topPairs {
 		out.HotPairs = out.HotPairs[:topPairs]
 	}
-	return out
-}
-
-// maskValue exposes the n-bit mask for the analysis pass.
-func (p *Profile) maskValue() uint64 {
-	return uint64(1)<<uint(p.N) - 1
+	return out, nil
 }
 
 // Report renders a human-readable diagnosis: the hottest conflict

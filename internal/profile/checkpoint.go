@@ -1,8 +1,9 @@
 package profile
 
 // Checkpoint/resume for the profiling pass. A snapshot captures the
-// complete state of a sequential Builder mid-trace — the LRU stack,
-// the conflict-vector histogram and the bookkeeping counters — inside
+// complete state of a sequential Builder mid-trace — the LRU stack
+// (the distance tree's recency listing), the conflict-vector histogram
+// and the bookkeeping counters — inside
 // the versioned, CRC-checked ckpt envelope, so a run killed at any
 // checkpoint boundary resumes bit-identically to an uninterrupted one
 // (the differential tests in checkpoint_test.go prove it). The stream
@@ -56,7 +57,12 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 	if bd.p.Sketch != nil {
 		return fmt.Errorf("profile: Checkpoint of a sketch-backed builder: %w", xerr.ErrInvalidOptions)
 	}
-	p := bd.p
+	return writeCheckpoint(w, bd.p, bd.tree.Recency())
+}
+
+// writeCheckpoint encodes an exact profile and the top-to-bottom LRU
+// stack listing that goes with it.
+func writeCheckpoint(w io.Writer, p *Profile, stack []uint64) error {
 	return ckpt.Write(w, checkpointMagic, checkpointVersion, func(b *bytes.Buffer) error {
 		var buf [binary.MaxVarintLen64]byte
 		put := func(v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
@@ -72,7 +78,6 @@ func (bd *Builder) Checkpoint(w io.Writer) error {
 		put(p.Capacity)
 		put(p.Candidates)
 		put(p.TotalPairs)
-		stack := bd.stack.Blocks()
 		put(uint64(len(stack)))
 		for _, blk := range stack {
 			put(blk)
@@ -187,8 +192,7 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, fmt.Errorf("profile: snapshot histogram sums to %d pairs, counter says %d: %w",
 			sum, totalPairs, xerr.ErrFormat)
 	}
-	st, err := lru.NewStackFrom(stack)
-	if err != nil {
+	if err := bd.restoreRecency(stack); err != nil {
 		return nil, fmt.Errorf("profile: snapshot stack: %w: %w", xerr.ErrFormat, err)
 	}
 	p.Accesses = accesses
@@ -196,18 +200,22 @@ func Restore(r io.Reader) (*Builder, error) {
 	p.Capacity = capacity
 	p.Candidates = candidates
 	p.TotalPairs = totalPairs
-	bd.stack = st
-	// Rebuild the distance gate in the snapshot's recency order (bottom
-	// of the stack first). The tree's internal clock differs from an
-	// uninterrupted run's, but reuse distances depend only on relative
-	// recency, so the resumed pass classifies
-	// every access bit-identically (the kill/resume differential tests
-	// prove it).
-	bd.tree = lru.NewDistanceTree()
-	for i := len(stack) - 1; i >= 0; i-- {
-		bd.tree.Record(stack[i])
-	}
 	return bd, nil
+}
+
+// restoreRecency rebuilds the distance gate and the walk window from a
+// snapshot's top-to-bottom stack listing. The tree's internal clock
+// differs from an uninterrupted run's, but reuse distances depend only
+// on relative recency, so the resumed pass classifies every access
+// bit-identically (the kill/resume differential tests prove it).
+func (bd *Builder) restoreRecency(stack []uint64) error {
+	tree, err := lru.NewDistanceTreeFrom(stack)
+	if err != nil {
+		return err
+	}
+	bd.tree = tree
+	bd.win = lru.NewWindowFrom(bd.p.CacheBlocks, stack)
+	return nil
 }
 
 // payloadReader decodes snapshot payload primitives, latching the
@@ -297,8 +305,7 @@ func restoreSnapshot(opt Options, n, cacheBlocks int) (*Builder, error) {
 // position, down to the stackLen == Compulsory invariant Restore
 // re-validates.
 func (rc *reconciler) checkpoint(w io.Writer) error {
-	bd := &Builder{p: rc.out, stack: rc.bound}
-	return bd.Checkpoint(w)
+	return writeCheckpoint(w, rc.out, rc.bound.Blocks())
 }
 
 func (rc *reconciler) checkpointFile(path string) error {

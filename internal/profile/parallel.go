@@ -4,20 +4,23 @@ package profile
 //
 // The Fig. 1 pass is sequential on its face — the LRU stack is global
 // state — but almost none of that state matters across a shard
-// boundary. Each shard runs the plain arena-stack Builder from cold,
-// with zero per-access overhead over the sequential pass, and exports
-// two things the sequential pass would have needed from it:
+// boundary. Each shard runs the plain windowed Builder from cold (one
+// append per first touch is its only overhead over the sequential
+// pass) and exports two things the sequential pass would have needed
+// from it:
 //
-//   - its distinct blocks in first-touch order (the arena slab order),
-//   - its distinct blocks in final recency order (its exit LRU stack).
+//   - its distinct blocks in first-touch order (the builder's
+//     first-touch list),
+//   - its distinct blocks in final recency order (its exit LRU stack,
+//     read off the distance tree).
 //
-// That pair is a lru.GateSummary. A single in-order reconciliation
+// That pair is the shard's gate summary. A single in-order reconciliation
 // pass over the summaries repairs the only classifications a cold
 // shard can get wrong — its apparent first touches:
 //
 //   - Every non-first-touch access has its previous access inside the
-//     shard, so the blocks above it on the shard stack are exactly the
-//     blocks the sequential stack holds above it. Intra-shard
+//     shard, so the blocks above it in the shard's LRU order are
+//     exactly the blocks the sequential stack holds above it. Intra-shard
 //     classifications and histogram contributions are bit-identical to
 //     the sequential pass.
 //   - A shard's j-th first touch of block b that an earlier shard
@@ -79,7 +82,10 @@ func buildSharded(ctx context.Context, src Source, n, cacheBlocks int, opt Optio
 		return nil, err
 	}
 	if restored != nil {
-		rc.out, rc.bound = restored.p, restored.stack
+		rc.out = restored.p
+		if rc.bound, err = lru.NewStackFrom(restored.tree.Recency()); err != nil {
+			return nil, err
+		}
 	}
 	// inner cancels the fan-out when a shard fails, so the dispatcher
 	// and sibling shards stop instead of profiling a stream whose
@@ -223,17 +229,31 @@ func buildSharded(ctx context.Context, src Source, n, cacheBlocks int, opt Optio
 
 // shardState is the fixed-size per-shard slot of a sharded build: the
 // input half (idx, blocks) is filled by the dispatcher, the output half
-// (p, sum, stats, err) by the one worker goroutine that runs the shard.
-// Nothing in it is shared until the shard is handed back for
-// reconciliation.
+// by the one worker goroutine that runs the shard. Nothing in it is
+// shared until the shard is handed back for reconciliation.
 type shardState struct {
 	idx    int
 	blocks []uint64
 
 	p     *Profile
-	sum   lru.GateSummary
 	stats BuildStats
 	err   error
+
+	// The gate summary the shard exports instead of replaying overlap
+	// accesses (DESIGN.md §13). Both slices list the shard's distinct
+	// blocks, so its size is independent of the shard length.
+	//
+	// firstTouch lists them in the order each was first accessed. Its
+	// prefix of length j is exactly the set of distinct blocks the
+	// shard saw before its (j+1)-th first touch — the intra-shard half
+	// of that access's reuse distance.
+	//
+	// recency lists them by most recent access, most recent first —
+	// the shard's exit LRU stack. Replaying it bottom-up over the
+	// boundary stack reproduces the sequential LRU stack at the shard's
+	// end, because an LRU stack depends only on the order of last
+	// accesses.
+	firstTouch, recency []uint64
 }
 
 // run profiles the shard from a cold builder, checking ctx every
@@ -253,6 +273,7 @@ func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 		testShardHook(s.idx)
 	}
 	bd := opt.newBuilder(n, cacheBlocks)
+	bd.trackFirst = true
 	tick := 0
 	for _, b := range s.blocks {
 		if tick++; tick >= ctxCheckEvery {
@@ -264,7 +285,7 @@ func (s *shardState) run(ctx context.Context, n, cacheBlocks int, opt Options) {
 		}
 		bd.Add(b)
 	}
-	s.sum = bd.GateSummary()
+	s.firstTouch, s.recency = bd.firstTouch, bd.tree.Recency()
 	s.stats = bd.Stats()
 	s.p = bd.Finish()
 }
@@ -328,9 +349,9 @@ func (rc *reconciler) absorb(s *shardState) error {
 	rc.stats.GatedCapacityMisses += s.stats.GatedCapacityMisses
 	cacheBlocks := rc.out.CacheBlocks
 	clear(rc.prefix)
-	for j, b := range s.sum.FirstTouch {
+	for j, b := range s.firstTouch {
 		if target, ok := rc.bound.Index(b); ok {
-			rc.resolve(s.p, s.sum.FirstTouch[:j], b, target)
+			rc.resolve(s.p, s.firstTouch[:j], b, target)
 		}
 		if j <= cacheBlocks {
 			// Only candidates with at most cacheBlocks prior first
@@ -342,8 +363,8 @@ func (rc *reconciler) absorb(s *shardState) error {
 	if err := rc.out.Merge(s.p); err != nil {
 		return fmt.Errorf("profile: shard merge: %w", err)
 	}
-	for i := len(s.sum.Recency) - 1; i >= 0; i-- {
-		b := s.sum.Recency[i]
+	for i := len(s.recency) - 1; i >= 0; i-- {
+		b := s.recency[i]
 		if idx, ok := rc.bound.Index(b); ok {
 			rc.bound.MoveIndexToTop(idx)
 		} else {

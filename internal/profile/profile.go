@@ -87,17 +87,26 @@ type Profile struct {
 // The hot path is distance-gated (DESIGN.md §12): every access first
 // classifies its reuse distance against the capacity filter with one
 // Olken order-statistics query (or none, when the raw access gap
-// already proves the distance fits), so a
-// capacity miss is classified without visiting a single stack entry
-// and a conflict candidate walks the arena stack exactly once, with
-// no rollback path.
+// already proves the distance fits). The distance tree is the
+// whole-stream recency state; the walk reads only a contiguous window
+// of the cacheBlocks+1 most recent blocks, because a conflict
+// candidate's reuse distance is at most cacheBlocks. A capacity miss
+// or a first touch pushes onto the window without visiting an entry,
+// and a conflict candidate scans it exactly once, with no rollback
+// path.
 type Builder struct {
 	p     *Profile
 	mask  uint64
-	stack *lru.Stack
+	win   *lru.Window
 	tree  *lru.DistanceTree
 	stats BuildStats
 	done  bool
+
+	// firstTouch lists the distinct blocks in first-access order when
+	// trackFirst is set — the half of a shard's gate summary the tree
+	// cannot reconstruct (parallel.go).
+	trackFirst bool
+	firstTouch []uint64
 
 	// Sampling gate (see sample.go). sampleK <= 1 profiles every
 	// candidate; otherwise sampleCount is the 1-indexed ordinal of the
@@ -158,10 +167,10 @@ func newBuilder(n, cacheBlocks int, sparse bool) *Builder {
 		p.Table = make([]uint64, 1<<uint(n))
 	}
 	return &Builder{
-		p:     p,
-		mask:  uint64(gf2.Mask(n)),
-		stack: lru.NewStack(),
-		tree:  lru.NewDistanceTree(),
+		p:    p,
+		mask: uint64(gf2.Mask(n)),
+		win:  lru.NewWindow(cacheBlocks),
+		tree: lru.NewDistanceTree(),
 	}
 }
 
@@ -175,99 +184,98 @@ func (bd *Builder) Add(block uint64) {
 	p.Accesses++
 	// Distance gate: one O(log u) order-statistics query (skipped
 	// entirely when the raw access gap already proves the distance is
-	// within the filter) classifies the access before any stack entry
-	// is visited. A capacity miss — which the old code paid a bounded
-	// walk plus a full rollback re-walk to discover — now costs no
-	// walk at all.
+	// within the filter) classifies the access before any window entry
+	// is visited. A first touch or a capacity miss is a block the
+	// window cannot hold, so it is pushed on top without a walk.
 	switch bd.tree.TouchGate(b, p.CacheBlocks) {
 	case lru.GateCold:
 		// Compulsory miss: no conflict information.
 		p.Compulsory++
-		bd.stack.Push(b)
+		if bd.trackFirst {
+			bd.firstTouch = append(bd.firstTouch, b)
+		}
+		bd.win.Push(b)
 		return
 	case lru.GateBeyond:
 		p.Capacity++
 		bd.stats.GatedCapacityMisses++
-		bd.stack.MoveToTop(b)
+		bd.win.Push(b)
 		return
 	}
 	// Conflict candidate: the blocks above b are exactly the blocks
-	// accessed since its previous access, and the gate guarantees the
-	// walk reaches b within the filter. Walk them once, accumulating
-	// straight into the active backend — no callback, no per-element
-	// backend branch, no undo path — and batch the pair bookkeeping.
-	target, _ := bd.stack.Index(b)
+	// accessed since its previous access, and the gate guarantees b
+	// sits at depth <= cacheBlocks, inside the window. Scan to it once,
+	// accumulating straight into the active backend — no callback, no
+	// per-element backend branch, no undo path — and batch the pair
+	// bookkeeping.
 	p.Candidates++
 	if k := bd.sampleK; k > 1 {
 		// Sampling gate (sample.go): only every k-th candidate walks;
 		// a skipped one still refreshes its recency, so the LRU state
 		// — and every later classification — stays exact.
 		if bd.sampleCount++; bd.sampleCount != bd.sampleNext {
-			bd.stack.MoveIndexToTop(target)
+			bd.win.MoveToTop(bd.win.Find(b))
 			return
 		}
 		bd.sampleNext += k
 		p.SampledCandidates++
 	}
-	nodes, top := bd.stack.Raw()
-	d := uint64(0)
+	d := 0
 	if tbl := p.Table; tbl != nil {
-		for i := top; i != target; i = nodes[i].Next {
-			tbl[b^nodes[i].Block]++
+		for _, y := range bd.win.Blocks() {
+			if y == b {
+				break
+			}
+			tbl[b^y]++
 			d++
 		}
 	} else if sk := p.Sketch; sk != nil {
-		for i := top; i != target; i = nodes[i].Next {
-			sk.Inc(b ^ nodes[i].Block)
+		for _, y := range bd.win.Blocks() {
+			if y == b {
+				break
+			}
+			sk.Inc(b ^ y)
 			d++
 		}
 	} else {
 		sp := p.Sparse
-		for i := top; i != target; i = nodes[i].Next {
-			sp[b^nodes[i].Block]++
+		for _, y := range bd.win.Blocks() {
+			if y == b {
+				break
+			}
+			sp[b^y]++
 			d++
 		}
 	}
-	p.TotalPairs += d
+	p.TotalPairs += uint64(d)
 	bd.stats.CandidateWalks++
-	bd.stats.WalkSteps += d
-	bd.stack.MoveIndexToTop(target)
+	bd.stats.WalkSteps += uint64(d)
+	bd.win.MoveToTop(d)
 }
 
-// Warm replays one block access into the LRU stack without counting
-// anything: no conflict vectors, no bookkeeping. It reconstructs the
-// stack context at a shard boundary so a chunked builder classifies the
-// accesses of its own shard exactly as a sequential pass would — the
-// warm-up replay scheme the sharded engine replaced, kept as its
-// differential reference (refparallel_test.go).
+// Warm replays one block access into the recency state without
+// counting anything: no conflict vectors, no bookkeeping. It
+// reconstructs the LRU context at a shard boundary so a chunked builder
+// classifies the accesses of its own shard exactly as a sequential pass
+// would — the warm-up replay scheme the sharded engine replaced, kept
+// as its differential reference (refparallel_test.go).
 func (bd *Builder) Warm(block uint64) {
 	if bd.done {
 		panic("profile: Warm after Finish")
 	}
 	b := block & bd.mask
-	if bd.tree.Record(b) {
-		bd.stack.Push(b)
+	if bd.tree.TouchGate(b, bd.p.CacheBlocks) == lru.GateWithin {
+		bd.win.MoveToTop(bd.win.Find(b))
 	} else {
-		bd.stack.MoveToTop(b)
+		bd.win.Push(b)
 	}
 }
 
-// Seen reports whether the block is on the builder's LRU stack, i.e.
-// has been passed to Add or Warm before. The next Add of an unseen
-// block will be classified as a compulsory miss.
+// Seen reports whether the block has been passed to Add or Warm
+// before. The next Add of an unseen block will be classified as a
+// compulsory miss.
 func (bd *Builder) Seen(block uint64) bool {
-	return bd.stack.Contains(block & bd.mask)
-}
-
-// GateSummary exports the builder's boundary state for the sharded
-// merge (DESIGN.md §13): its distinct blocks in first-touch order and
-// in final recency order, read straight off the arena stack with no
-// per-access bookkeeping during the pass. Only meaningful for a builder
-// that ran its accesses from cold (the first-touch order of a
-// checkpoint-restored builder is the snapshot's recency order, not the
-// original trace's).
-func (bd *Builder) GateSummary() lru.GateSummary {
-	return bd.stack.Summary()
+	return bd.tree.Contains(block & bd.mask)
 }
 
 // Finish returns the accumulated profile; the builder must not be used

@@ -1,19 +1,22 @@
 package profile
 
-// The pre-overhaul Fig. 1 builder, kept verbatim as a test-only
-// reference: a heap-allocated doubly-linked LRU stack, a bounded
-// counting walk on every re-reference, and a full rollback re-walk when
-// the walk fails to reach the block within the capacity filter. The
-// differential tests below run it in lockstep with the production
-// builder (arena stack + Olken distance gate + backend-specialized
-// accumulation) and require bit-identical classification and histogram
-// on randomized traces — the proof that the hot-path overhaul changed
-// the cost of the pass, not its meaning.
+// The pre-overhaul Fig. 1 builder, kept as a test-only reference: a
+// heap-allocated doubly-linked LRU stack over every block ever seen, a
+// bounded counting walk on every re-reference, and a rollback of the
+// walked pairs when the walk fails to reach the block within the
+// capacity filter. The differential tests below run it against the
+// production builder (Olken distance gate + top-of-stack window +
+// backend-specialized accumulation) and require bit-identical
+// classification and histogram on randomized traces — the proof that
+// the hot-path overhauls changed the cost of the pass, not its
+// meaning.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -73,33 +76,53 @@ func (s *refStack) walkAbove(b uint64, limit int, fn func(y uint64)) (reached bo
 	panic("refStack: target not reachable")
 }
 
-// refBuild is the old Build: walk-with-increments, then a rollback
-// re-walk on every capacity miss.
+// refOptions selects the reference pass's histogram backend and its
+// sampling gate; the zero value is the exact flat pass.
+type refOptions struct {
+	sparse bool
+	sketch *SketchOptions
+	sample SampleOptions
+}
+
+// refBuild is the old Build: a bounded counting walk on every
+// re-reference, then a rollback of the walked pairs when the walk
+// fails to reach the block within the filter.
 func refBuild(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
+	return refBuildOpts(blocks, n, cacheBlocks, refOptions{sparse: sparse})
+}
+
+// refBuildOpts is refBuild on any backend and with sampling. Walked
+// pairs are held back until the walk reaches the block — the rollback
+// of a capacity miss is dropping them — and a sampled-out candidate
+// drops them too, after its full walk.
+func refBuildOpts(blocks []uint64, n, cacheBlocks int, opt refOptions) *Profile {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
-	if sparse {
+	switch {
+	case opt.sketch != nil:
+		p.Sketch = NewSketch(opt.sketch.withDefaults())
+	case opt.sparse:
 		p.Sparse = make(map[uint64]uint64)
-	} else {
+	default:
 		p.Table = make([]uint64, 1<<uint(n))
 	}
 	inc := func(v uint64) {
-		if p.Table != nil {
+		switch {
+		case p.Table != nil:
 			p.Table[v]++
-		} else {
+		case p.Sketch != nil:
+			p.Sketch.Inc(v)
+		default:
 			p.Sparse[v]++
 		}
 	}
-	dec := func(v uint64) {
-		if p.Table != nil {
-			p.Table[v]--
-		} else if c := p.Sparse[v]; c <= 1 {
-			delete(p.Sparse, v)
-		} else {
-			p.Sparse[v] = c - 1
-		}
+	var ordinal, next uint64
+	if opt.sample.enabled() {
+		p.SampleK, p.SampleSeed = opt.sample.K, opt.sample.Seed
+		next = splitmix64(opt.sample.Seed)%opt.sample.K + 1
 	}
 	mask := uint64(1)<<uint(n) - 1
 	stack := newRefStack()
+	var pending []uint64
 	for _, raw := range blocks {
 		b := raw & mask
 		p.Accesses++
@@ -108,20 +131,27 @@ func refBuild(blocks []uint64, n, cacheBlocks int, sparse bool) *Profile {
 			stack.push(b)
 			continue
 		}
+		pending = pending[:0]
 		reached := stack.walkAbove(b, cacheBlocks, func(y uint64) {
-			inc(b ^ y)
-			p.TotalPairs++
+			pending = append(pending, b^y)
 		})
-		if reached {
-			p.Candidates++
-		} else {
-			p.Capacity++
-			stack.walkAbove(b, cacheBlocks, func(y uint64) {
-				dec(b ^ y)
-				p.TotalPairs--
-			})
-		}
 		stack.moveToTop(b)
+		if !reached {
+			p.Capacity++
+			continue
+		}
+		p.Candidates++
+		if opt.sample.enabled() {
+			if ordinal++; ordinal != next {
+				continue
+			}
+			next += opt.sample.K
+			p.SampledCandidates++
+		}
+		for _, v := range pending {
+			inc(v)
+		}
+		p.TotalPairs += uint64(len(pending))
 	}
 	return p
 }
@@ -158,29 +188,145 @@ func diffTrace(rng *rand.Rand) []uint64 {
 }
 
 // TestBuildDifferentialVsReference runs 1000 randomized trials of the
-// production builder against the pre-overhaul reference, alternating
-// flat and sparse backends, and requires identical classification
-// counters and an identical histogram every time.
+// production builder against the pre-overhaul reference and requires
+// identical classification counters and an identical histogram every
+// time. Trials rotate through the flat, sparse and sketch backends and
+// sampled builds (whose skipped candidates still move inside the walk
+// window), and every tenth pair of trials pins the filter to one or two
+// blocks, where the window slides on almost every access.
 func TestBuildDifferentialVsReference(t *testing.T) {
 	const trials = 1000
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(40000 + trial)))
 		n := 8 + rng.Intn(5)            // 8..12
 		cacheBlocks := 1 + rng.Intn(96) // 1..96
-		sparse := trial%2 == 1          // alternate backends
-		blocks := diffTrace(rng)
-		var got *Profile
-		if sparse {
-			got = mustBuild(Blocks(blocks), n, cacheBlocks, Options{ForceSparse: true})
-		} else {
-			got = buildBlocks(blocks, n, cacheBlocks)
+		if k := trial % 10; k < 2 {
+			cacheBlocks = 1 + k
 		}
-		want := refBuild(blocks, n, cacheBlocks, sparse)
-		if d := diffProfiles(got, want); d != "" {
-			t.Fatalf("trial %d (n=%d cap=%d sparse=%v len=%d): %s",
-				trial, n, cacheBlocks, sparse, len(blocks), d)
+		blocks := diffTrace(rng)
+		var (
+			opt Options
+			ref refOptions
+		)
+		switch trial % 4 {
+		case 1:
+			opt.ForceSparse, ref.sparse = true, true
+		case 2:
+			sk := &SketchOptions{Width: 64 << rng.Intn(3), Depth: 1 + rng.Intn(3), Seed: rng.Uint64()}
+			opt.Sketch, ref.sketch = sk, sk
+		case 3:
+			sample := SampleOptions{K: 2 + uint64(rng.Intn(7)), Seed: rng.Uint64()}
+			opt.Sample, ref.sample = sample, sample
+			opt.ForceSparse, ref.sparse = trial%8 == 7, trial%8 == 7
+		}
+		got := mustBuild(Blocks(blocks), n, cacheBlocks, opt)
+		want := refBuildOpts(blocks, n, cacheBlocks, ref)
+		if d := diffRef(got, want); d != "" {
+			t.Fatalf("trial %d (n=%d cap=%d opt=%+v len=%d): %s",
+				trial, n, cacheBlocks, ref, len(blocks), d)
 		}
 	}
+
+	t.Run("n=64 top block", func(t *testing.T) {
+		for trial := 0; trial < 60; trial++ {
+			rng := rand.New(rand.NewSource(int64(64000 + trial)))
+			blocks := wideTrace(rng)
+			cacheBlocks := 1 + rng.Intn(48)
+			want := refBuild(blocks, 64, cacheBlocks, true)
+			for _, opt := range []Options{{}, {Workers: 3, ChunkSize: 64}} {
+				got := mustBuild(Blocks(blocks), 64, cacheBlocks, opt)
+				if d := diffProfiles(got, want); d != "" {
+					t.Fatalf("trial %d (cap=%d workers=%d): %s", trial, cacheBlocks, opt.Workers, d)
+				}
+			}
+			// A snapshot mid-pass carries the top block through the
+			// recency listing like any other.
+			cut := len(blocks) / 2
+			bd := NewBuilder(64, cacheBlocks)
+			for _, b := range blocks[:cut] {
+				bd.Add(b)
+			}
+			restored, err := Restore(bytes.NewReader(snapshotBytes(t, bd)))
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if d := diffProfiles(restored.finishBlocks(blocks[cut:]), want); d != "" {
+				t.Fatalf("trial %d: resumed build: %s", trial, d)
+			}
+		}
+	})
+}
+
+// wideTrace is diffTrace spread over the whole 64-bit block space:
+// a third of the accesses land next to the top block, and the top
+// block itself, 0xFFFF_FFFF_FFFF_FFFF, is a hot member of the loops.
+func wideTrace(rng *rand.Rand) []uint64 {
+	blocks := diffTrace(rng)
+	for i, x := range blocks {
+		switch x % 3 {
+		case 0:
+			blocks[i] = ^x
+		case 1:
+			blocks[i] = x<<40 | x
+		}
+		if i%11 == 0 {
+			blocks[i] = ^uint64(0)
+		}
+	}
+	return blocks
+}
+
+// diffRef compares a production profile with a reference one: the
+// counters and histogram exactly (the whole sketch state, for a sketch
+// build) and the sampling bookkeeping.
+func diffRef(got, want *Profile) string {
+	if d := diffCounters(got, want); d != "" {
+		return d
+	}
+	if got.SampleK != want.SampleK || got.SampledCandidates != want.SampledCandidates {
+		return "sampling bookkeeping differs"
+	}
+	if want.Sketch != nil {
+		if !reflect.DeepEqual(got.Sketch, want.Sketch) {
+			return "Sketch differs"
+		}
+		return ""
+	}
+	return diffProfiles(got, want)
+}
+
+// FuzzBuilderVsReference is the fuzz form of the reference
+// differential: the fuzzer picks the trace and the capacity filter, and
+// the production Builder must match the reference pass exactly and
+// keep its walk-count invariants.
+func FuzzBuilderVsReference(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 3, 0, 2, 0, 1, 0}, uint8(1))
+	var loop []byte
+	for r := 0; r < 4; r++ {
+		for i := 0; i < 40; i++ {
+			loop = append(loop, byte(i*8), byte(i>>5))
+		}
+	}
+	f.Add(loop, uint8(31))
+
+	f.Fuzz(func(t *testing.T, data []byte, capRaw uint8) {
+		const n = 10
+		cacheBlocks := 1 + int(capRaw%64)
+		blocks := make([]uint64, 0, len(data)/2)
+		for i := 0; i+1 < len(data) && len(blocks) < 4096; i += 2 {
+			blocks = append(blocks, uint64(binary.LittleEndian.Uint16(data[i:])))
+		}
+		bd := NewBuilder(n, cacheBlocks)
+		got := bd.finishBlocks(blocks)
+		if d := diffProfiles(got, refBuild(blocks, n, cacheBlocks, false)); d != "" {
+			t.Fatalf("cap=%d len=%d: %s", cacheBlocks, len(blocks), d)
+		}
+		st := bd.Stats()
+		if st.CandidateWalks != got.Candidates || st.WalkSteps != got.TotalPairs || st.GatedCapacityMisses != got.Capacity {
+			t.Fatalf("cap=%d: stats %+v break the walk invariants", cacheBlocks, st)
+		}
+	})
 }
 
 // finishBlocks feeds a whole trace through a builder — a test shorthand.
@@ -221,10 +367,9 @@ func TestWalkCountProbe(t *testing.T) {
 
 // TestCheckpointRoundTripsArenaStack cuts a trace at an arbitrary
 // point, round-trips the builder through the checkpoint codec, and
-// requires the restored arena stack to list the same blocks in the
-// same recency order and the continued run to match an uninterrupted
-// one bit for bit — the profile-side half of the arena round-trip
-// contract (lru's FuzzStackRoundTrip is the other half).
+// requires the restored recency state — the distance tree's listing
+// and the walk window — to hold the same blocks in the same order and
+// the continued run to match an uninterrupted one bit for bit.
 func TestCheckpointRoundTripsArenaStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 40; trial++ {
@@ -246,14 +391,11 @@ func TestCheckpointRoundTripsArenaStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotStack, wantStack := restored.stack.Blocks(), ref.stack.Blocks()
-		if len(gotStack) != len(wantStack) {
-			t.Fatalf("trial %d: restored stack holds %d blocks, want %d", trial, len(gotStack), len(wantStack))
+		if !slices.Equal(restored.tree.Recency(), ref.tree.Recency()) {
+			t.Fatalf("trial %d: restored recency listing diverges", trial)
 		}
-		for i := range wantStack {
-			if gotStack[i] != wantStack[i] {
-				t.Fatalf("trial %d: stack order diverges at %d: %#x vs %#x", trial, i, gotStack[i], wantStack[i])
-			}
+		if !slices.Equal(restored.win.Blocks(), ref.win.Blocks()) {
+			t.Fatalf("trial %d: restored window %v, want %v", trial, restored.win.Blocks(), ref.win.Blocks())
 		}
 		for _, b := range blocks[cut:] {
 			ref.Add(b)
@@ -265,7 +407,7 @@ func TestCheckpointRoundTripsArenaStack(t *testing.T) {
 	}
 }
 
-// FuzzBuilderCheckpointResume is the fuzz form of the arena/checkpoint
+// FuzzBuilderCheckpointResume is the fuzz form of the recency/checkpoint
 // round trip: the fuzzer picks the trace and the cut point, and the
 // restored builder must finish the trace bit-identically to an
 // uninterrupted one.

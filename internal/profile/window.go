@@ -4,10 +4,10 @@ package profile
 // answers "which conflict vectors did this trace generate"; a serving
 // system needs "which conflict vectors is this workload generating
 // *now*". Windowed keeps the Fig. 1 pass incremental over an infinite
-// stream by splitting it into windows: the LRU stack and the distance
-// gate persist across the whole stream (reuse distances do not care
-// about window boundaries), while the histogram and its bookkeeping
-// counters are per-window. Rotate folds the finished window into an
+// stream by splitting it into windows: the recency state — the
+// distance tree and the builder's walk window — persists across the
+// whole stream (reuse distances do not care about window boundaries),
+// while the histogram and its bookkeeping counters are per-window. Rotate folds the finished window into an
 // exponentially decayed aggregate:
 //
 //	agg' = (1 − decay)·agg + window
@@ -41,7 +41,6 @@ import (
 
 	"xoridx/internal/ckpt"
 	"xoridx/internal/gf2"
-	"xoridx/internal/lru"
 	"xoridx/internal/xerr"
 )
 
@@ -49,7 +48,7 @@ import (
 // unbounded block-access stream. Not safe for concurrent use; the
 // serve layer gives each shard its own instance.
 type Windowed struct {
-	bd        *Builder // current window; its stack/tree span the whole stream
+	bd        *Builder // current window; its recency state spans the whole stream
 	agg       *Profile // decayed fold of all rotated windows
 	decay     float64
 	rotations uint64
@@ -149,8 +148,7 @@ func (w *Windowed) Add(block uint64) {
 
 // Rotate closes the current window and folds it into the aggregate:
 // the aggregate decays by (1−decay), the window adds in undecayed, and
-// a fresh window begins. The LRU stack and distance gate carry over
-// untouched. Rotating an empty window still decays the aggregate —
+// a fresh window begins. The recency state carries over untouched. Rotating an empty window still decays the aggregate —
 // silence is information under exponential decay.
 func (w *Windowed) Rotate() {
 	win := w.bd.p
@@ -244,7 +242,8 @@ const (
 )
 
 // Checkpoint serialises the complete windowed state — decayed
-// aggregate, live window, and the stream-spanning LRU stack — inside
+// aggregate, live window, and the stream-spanning LRU stack (the
+// distance tree's recency listing) — inside
 // the versioned, CRC-checked ckpt envelope. Unlike Builder.Checkpoint
 // this snapshot has no stack == Compulsory invariant: the stack spans
 // every window while the counters are window-local, so the codec
@@ -272,7 +271,7 @@ func (w *Windowed) Checkpoint(out io.Writer) error {
 		put(w.bd.sampleCount)
 		putProfileBody(put, w.agg)
 		putProfileBody(put, win)
-		stack := w.bd.stack.Blocks()
+		stack := w.bd.tree.Recency()
 		put(uint64(len(stack)))
 		for _, blk := range stack {
 			put(blk)
@@ -402,18 +401,8 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if d.rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.rem(), xerr.ErrFormat)
 	}
-	st, err := lru.NewStackFrom(stack)
-	if err != nil {
+	if err := w.bd.restoreRecency(stack); err != nil {
 		return nil, fmt.Errorf("profile: windowed snapshot stack: %w: %w", xerr.ErrFormat, err)
-	}
-	w.bd.stack = st
-	// Rebuild the distance gate in recency order (bottom of the stack
-	// first); reuse distances depend only on relative recency, so the
-	// resumed stream classifies bit-identically (same argument as
-	// Restore).
-	w.bd.tree = lru.NewDistanceTree()
-	for i := len(stack) - 1; i >= 0; i-- {
-		w.bd.tree.Record(stack[i])
 	}
 	return w, nil
 }
