@@ -124,11 +124,11 @@ type line struct {
 type Cache struct {
 	cfg     Config
 	idx     hash.Func
+	shift   uint // log2(BlockBytes): byte address -> block address
 	sets    [][]line
 	clock   uint64
 	stats   Stats
-	shadow  *lru.DistanceTree // classifies capacity vs conflict misses
-	seen    map[uint64]bool   // blocks ever touched (compulsory detection)
+	shadow  *lru.DistanceTree // classifies compulsory, capacity and conflict misses
 	classif bool
 	rng     uint64 // xorshift state for Random replacement
 }
@@ -156,9 +156,9 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{
 		cfg:     cfg,
 		idx:     idx,
+		shift:   uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		sets:    sets,
-		shadow:  lru.NewDistanceTree(),
-		seen:    make(map[uint64]bool),
+		shadow:  lru.NewDistanceTree(64),
 		classif: true,
 		rng:     0x243F6A8885A308D3, // pi digits: fixed, reproducible
 	}, nil
@@ -184,13 +184,13 @@ func (c *Cache) DisableClassification() { c.classif = false }
 // Access simulates one read access by byte address and reports whether
 // it missed.
 func (c *Cache) Access(addr uint64) bool {
-	return c.access(addr/uint64(c.cfg.BlockBytes), false)
+	return c.access(addr>>c.shift, false)
 }
 
 // Write simulates one store by byte address (write-allocate,
 // write-back) and reports whether it missed.
 func (c *Cache) Write(addr uint64) bool {
-	return c.access(addr/uint64(c.cfg.BlockBytes), true)
+	return c.access(addr>>c.shift, true)
 }
 
 // AccessBlock simulates one read access by block address.
@@ -248,12 +248,14 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 		c.stats.Writebacks++
 	}
 	if c.classif {
+		// Every hash.Func keeps (index, tag) bijective, so a block's
+		// first access always misses: the shadow's first touch (-1)
+		// is exactly the compulsory miss.
 		dist := c.shadow.Touch(block)
 		switch {
-		case !c.seen[block]:
+		case dist < 0:
 			c.stats.Compulsory++
-			c.seen[block] = true
-		case dist < 0 || dist >= c.cfg.Blocks():
+		case dist >= c.cfg.Blocks():
 			c.stats.Capacity++
 		default:
 			c.stats.Conflict++
@@ -267,7 +269,7 @@ func (c *Cache) access(block uint64, isWrite bool) bool {
 // returns the statistics.
 func (c *Cache) Run(t *trace.Trace) Stats {
 	for _, a := range t.Accesses {
-		c.access(a.Addr/uint64(c.cfg.BlockBytes), a.Kind == trace.Write)
+		c.access(a.Addr>>c.shift, a.Kind == trace.Write)
 	}
 	return c.stats
 }
@@ -289,7 +291,7 @@ func (c *Cache) RunCtx(ctx context.Context, t *trace.Trace) (Stats, error) {
 			end = len(t.Accesses)
 		}
 		for _, a := range t.Accesses[start:end] {
-			c.access(a.Addr/uint64(c.cfg.BlockBytes), a.Kind == trace.Write)
+			c.access(a.Addr>>c.shift, a.Kind == trace.Write)
 		}
 	}
 	return c.stats, nil

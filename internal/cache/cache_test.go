@@ -505,3 +505,68 @@ func TestSetBitsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestClassificationMatchesSeenSetModel checks the miss classification
+// against an independent model that keeps its own set of blocks ever
+// touched and a naive LRU list: a miss on an unseen block is
+// compulsory, one at stack distance >= capacity is a capacity miss, and
+// the rest are conflicts. Random flushes and index reconfigurations
+// keep seen blocks seen, so re-fetches after them are never compulsory.
+func TestClassificationMatchesSeenSetModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, cfg := range []Config{
+		{SizeBytes: 256, BlockBytes: 4, Ways: 1},
+		{SizeBytes: 1024, BlockBytes: 8, Ways: 1},
+		{SizeBytes: 512, BlockBytes: 4, Ways: 2},
+		{SizeBytes: 512, BlockBytes: 4, Ways: 4, Repl: Random},
+	} {
+		c := MustNew(cfg)
+		var want Stats
+		seen := map[uint64]bool{}
+		var stack []uint64 // most recent first
+		for i := 0; i < 20000; i++ {
+			switch rng.Intn(500) {
+			case 0:
+				c.Flush()
+			case 1:
+				if err := c.SetIndex(randomGeneral(rng, 16, cfg.SetBits())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addr := uint64(rng.Intn(4*cfg.Blocks())) * uint64(cfg.BlockBytes)
+			if rng.Intn(8) == 0 {
+				addr |= 1 << 40 // a block that differs only above the hashed bits
+			}
+			block := addr / uint64(cfg.BlockBytes)
+			dist := -1
+			for d, b := range stack {
+				if b == block {
+					dist = d
+					stack = append(stack[:d], stack[d+1:]...)
+					break
+				}
+			}
+			stack = append([]uint64{block}, stack...)
+			if !c.Access(addr) {
+				continue
+			}
+			switch {
+			case !seen[block]:
+				want.Compulsory++
+			case dist >= cfg.Blocks():
+				want.Capacity++
+			default:
+				want.Conflict++
+			}
+			seen[block] = true
+		}
+		got := c.Stats()
+		if got.Compulsory != want.Compulsory || got.Capacity != want.Capacity || got.Conflict != want.Conflict {
+			t.Fatalf("%+v: classification %d/%d/%d, model %d/%d/%d", cfg,
+				got.Compulsory, got.Capacity, got.Conflict, want.Compulsory, want.Capacity, want.Conflict)
+		}
+		if got.Compulsory+got.Capacity+got.Conflict != got.Misses || got.Compulsory == 0 || got.Conflict == 0 {
+			t.Fatalf("%+v: degenerate classification %+v", cfg, got)
+		}
+	}
+}

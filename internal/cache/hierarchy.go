@@ -36,12 +36,10 @@ func NewHierarchy(l1, l2 Config) (*Hierarchy, error) {
 // Access simulates one access by byte address; the return values
 // report where it was satisfied.
 func (h *Hierarchy) Access(addr uint64, isWrite bool) (l1Miss, l2Miss bool) {
-	block1 := addr / uint64(h.L1.cfg.BlockBytes)
-	if !h.L1.access(block1, isWrite) {
+	if !h.L1.access(addr>>h.L1.shift, isWrite) {
 		return false, false
 	}
-	block2 := addr / uint64(h.L2.cfg.BlockBytes)
-	return true, h.L2.access(block2, false)
+	return true, h.L2.access(addr>>h.L2.shift, false)
 }
 
 // Run simulates a trace through both levels.

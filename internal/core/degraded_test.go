@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xoridx/internal/cache"
 	"xoridx/internal/hash"
 	"xoridx/internal/profile"
 	"xoridx/internal/trace"
@@ -89,6 +90,86 @@ func TestValidateDegradedOnCancel(t *testing.T) {
 	}
 	if res == nil || !res.Degraded || res.Func == nil {
 		t.Fatalf("interrupted validation must still return the searched function, got %+v", res)
+	}
+}
+
+// pollCtx is a context whose Done channel is open for the first polls
+// calls and closed from then on: it cancels a loop part-way through.
+type pollCtx struct {
+	context.Context
+	polls       int
+	open, shut  chan struct{}
+	interrupted bool
+}
+
+func newPollCtx(polls int) *pollCtx {
+	c := &pollCtx{Context: context.Background(), polls: polls, open: make(chan struct{}), shut: make(chan struct{})}
+	close(c.shut)
+	return c
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	if c.polls > 0 {
+		c.polls--
+		return c.open
+	}
+	c.interrupted = true
+	return c.shut
+}
+
+func (c *pollCtx) Err() error {
+	if c.interrupted {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestValidateMatchesCacheAndCancelsMidTrace checks both validation
+// paths (the fused direct-mapped pass and the per-function Cache runs
+// of a set-associative geometry) against plain cache runs, then
+// cancels each one after its first chunk of accesses: the result must
+// be Degraded, keep the searched function and zero both Stats.
+func TestValidateMatchesCacheAndCancelsMidTrace(t *testing.T) {
+	tr := richTrace(400) // 25600 accesses: several cancellation chunks
+	for _, ways := range []int{1, 2} {
+		cfg := degradedConfig()
+		cfg.Ways = ways
+		pl := Pipeline{Config: cfg}
+		p, err := pl.Profile(context.Background(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sres, err := pl.Search(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Validate(context.Background(), tr, p, sres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := cfg.withDefaults()
+		base, err := Simulate(context.Background(), tr, full, hash.Modulo(full.AddrBits, full.SetBits()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Simulate(context.Background(), tr, full, hash.MustXOR(sres.Matrix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Baseline != base || (!res.UsedFallback && res.Optimized != opt) {
+			t.Fatalf("ways %d: validated %+v / %+v, cache runs %+v / %+v", ways, res.Baseline, res.Optimized, base, opt)
+		}
+
+		res, err = pl.Validate(newPollCtx(1), tr, p, sres)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("ways %d: err = %v, want wrapped ErrCanceled", ways, err)
+		}
+		if res == nil || !res.Degraded || res.Func == nil {
+			t.Fatalf("ways %d: interrupted validation must return the searched function Degraded, got %+v", ways, res)
+		}
+		if res.Baseline != (cache.Stats{}) || res.Optimized != (cache.Stats{}) {
+			t.Fatalf("ways %d: interrupted validation leaked partial stats %+v / %+v", ways, res.Baseline, res.Optimized)
+		}
 	}
 }
 

@@ -222,7 +222,10 @@ func (pl *Pipeline) SearchRound(ctx context.Context, p *profile.Profile, warm gf
 
 // Validate runs the exact-simulation stage: it simulates the searched
 // function and the conventional baseline over the trace and applies the
-// §6 fallback guard, producing the final Result.
+// §6 fallback guard, producing the final Result. A direct-mapped cache
+// simulates both functions in one fused pass
+// (cache.SimulateDirectMapped); a set-associative one runs a
+// cache.Cache per function.
 func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Profile, sres search.Result) (*Result, error) {
 	cfg := pl.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -235,15 +238,19 @@ func (pl *Pipeline) Validate(ctx context.Context, tr *trace.Trace, p *profile.Pr
 	}
 	pl.emit(Event{Kind: StageStarted, Stage: StageValidate})
 	res := &Result{Search: sres, Profile: p, Func: optFunc}
-	if res.Baseline, err = simulate(ctx, tr, cfg, hash.Modulo(cfg.AddrBits, m)); err != nil {
+	base := hash.Modulo(cfg.AddrBits, m)
+	if cfg.Ways == 1 {
+		var st []cache.Stats
+		if st, err = cache.SimulateDirectMapped(ctx, tr, cfg.CacheBytes, cfg.BlockBytes, base, optFunc); err == nil {
+			res.Baseline, res.Optimized = st[0], st[1]
+		}
+	} else if res.Baseline, err = simulate(ctx, tr, cfg, base); err == nil {
+		res.Optimized, err = simulate(ctx, tr, cfg, optFunc)
+	}
+	if err != nil {
 		// The searched function is intact — only its exact validation
 		// (and the §6 fallback guard) is missing. Hand it back Degraded
 		// with zeroed simulation stats rather than dropping it.
-		res.Baseline = cache.Stats{}
-		res.Degraded = true
-		return res, err
-	}
-	if res.Optimized, err = simulate(ctx, tr, cfg, optFunc); err != nil {
 		res.Baseline, res.Optimized = cache.Stats{}, cache.Stats{}
 		res.Degraded = true
 		return res, err

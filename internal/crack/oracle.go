@@ -44,10 +44,11 @@ type Oracle interface {
 // deliberately rejects such matrices for construction; the black box
 // must nevertheless behave like real hardware wired with one, so the
 // tag completes col-space(H) to full rank with n-rank(H) selected bits
-// (rather than hash.XOR's n-m), keeping (index, tag) bijective.
+// (rather than hash.XOR's n-m), keeping (index, tag) bijective. Both
+// are compiled into byte tables, which work at any rank.
 type planted struct {
-	h   gf2.Matrix
-	tag gf2.Matrix
+	h                gf2.Matrix
+	indexMap, tagMap gf2.LinearMap
 }
 
 // newPlanted builds the black box's hidden function from h.
@@ -67,16 +68,13 @@ func newPlanted(h gf2.Matrix) (*planted, error) {
 	for i, j := 0, len(positions)-1; i < j; i, j = i+1, j-1 {
 		positions[i], positions[j] = positions[j], positions[i]
 	}
-	return &planted{h: h, tag: gf2.BitSelect(h.N, positions)}, nil
+	tag := gf2.BitSelect(h.N, positions)
+	return &planted{h: h, indexMap: gf2.NewMatrixMap(h), tagMap: gf2.NewMatrixMap(tag)}, nil
 }
 
-func (f *planted) Index(block uint64) uint64 {
-	return uint64(f.h.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
-}
+func (f *planted) Index(block uint64) uint64 { return f.indexMap.Apply(gf2.Vec(block)) }
 
-func (f *planted) Tag(block uint64) uint64 {
-	return uint64(f.tag.Apply(gf2.Vec(block) & gf2.Mask(f.h.N)))
-}
+func (f *planted) Tag(block uint64) uint64 { return f.tagMap.Apply(gf2.Vec(block)) }
 
 func (f *planted) AddrBits() int      { return f.h.N }
 func (f *planted) SetBits() int       { return f.h.M }

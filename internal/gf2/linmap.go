@@ -61,6 +61,11 @@ func NewMatrixMap(h Matrix) LinearMap {
 	return lm
 }
 
+// Tables returns the compiled byte tables, table b serving input bits
+// 8b..8b+7, for loops that hoist them out of a per-access Apply. The
+// slice is the map's own storage and must not be modified.
+func (lm LinearMap) Tables() [][256]uint64 { return lm.tabs }
+
 // Apply returns the image of v. Bits of v at or above the map's input
 // width are ignored.
 func (lm LinearMap) Apply(v Vec) uint64 {

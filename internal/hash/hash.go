@@ -121,6 +121,10 @@ func (f *XOR) Tag(block uint64) uint64 {
 	return f.tagMap.Apply(gf2.Vec(block))
 }
 
+// IndexMap returns the compiled index function: IndexMap().Apply(a)
+// equals Index(a).
+func (f *XOR) IndexMap() gf2.LinearMap { return f.indexMap }
+
 // AddrBits implements Func.
 func (f *XOR) AddrBits() int { return f.h.N }
 

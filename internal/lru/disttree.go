@@ -23,15 +23,29 @@ import "fmt"
 // profiling pass: slots records which block claimed each time slot, so
 // Recency lists every live block by most recent access and compaction
 // renumbers the live slots in one ordered scan, with no sort.
+//
+// The recency index (block -> time of its most recent access) is a
+// flat []uint32 indexed by block when blocks fit in maxDenseBits bits,
+// and a map otherwise. A width that can afford a flat 2^n histogram of
+// uint64 counts affords a 2^n-entry uint32 index at half the bytes, and
+// the times fit: at most 2^n blocks are live and the array never holds
+// more than max(minTreeSlots, 8x the live population) slots, so every
+// time is below 2^27.
 type DistanceTree struct {
 	fen   []int32           // Fenwick tree over time slots 1..len-1
 	slots []uint64          // slots[i] = block that claimed time i (live iff slot i is set)
-	byBlk map[uint64]uint64 // block -> time of most recent access
+	dense []uint32          // block -> time of most recent access, 0 = absent; nil for wide blocks
+	byBlk map[uint64]uint64 // block -> time of most recent access when dense is nil
+	live  int               // number of live blocks
 	clock uint64            // last assigned virtual time
 }
 
 // minTreeSlots is the initial (and minimum) Fenwick array length.
 const minTreeSlots = 4096
+
+// maxDenseBits is the widest block address NewDistanceTree indexes
+// with a flat array (64 MiB of uint32 times); wider blocks use a map.
+const maxDenseBits = 24
 
 // Gate is the three-way classification returned by TouchGate.
 type Gate int8
@@ -45,34 +59,50 @@ const (
 	GateBeyond
 )
 
-// NewDistanceTree returns an empty tree.
-func NewDistanceTree() *DistanceTree {
-	return &DistanceTree{
+// NewDistanceTree returns an empty tree over blocks below 2^bits.
+// Widths up to 24 bits get the flat recency index, so every block
+// passed to the tree must then fit in bits bits; pass 64 for arbitrary
+// block addresses.
+func NewDistanceTree(bits int) *DistanceTree {
+	t := &DistanceTree{
 		fen:   make([]int32, minTreeSlots),
 		slots: make([]uint64, minTreeSlots),
-		byBlk: make(map[uint64]uint64),
 	}
+	if bits <= maxDenseBits {
+		t.dense = make([]uint32, 1<<max(bits, 0))
+	} else {
+		t.byBlk = make(map[uint64]uint64)
+	}
+	return t
 }
 
-// NewDistanceTreeFrom rebuilds a tree from a most-recent-first
-// recency listing — the inverse of Recency, used to restore profiling
-// state from a checkpoint. Blocks must be distinct; a duplicate means
-// the snapshot is corrupt and is reported rather than panicking.
-func NewDistanceTreeFrom(recency []uint64) (*DistanceTree, error) {
-	t := NewDistanceTree()
+// NewDistanceTreeFrom rebuilds a tree over blocks below 2^bits from a
+// most-recent-first recency listing — the inverse of Recency, used to
+// restore profiling state from a checkpoint. Blocks must be distinct
+// and fit in bits bits; a violation means the snapshot is corrupt and
+// is reported rather than panicking.
+func NewDistanceTreeFrom(bits int, recency []uint64) (*DistanceTree, error) {
+	t := NewDistanceTree(bits)
 	for i := len(recency) - 1; i >= 0; i-- {
-		if !t.Record(recency[i]) {
-			return nil, fmt.Errorf("lru: duplicate block %#x in recency snapshot", recency[i])
+		b := recency[i]
+		if t.dense != nil && b >= uint64(len(t.dense)) {
+			return nil, fmt.Errorf("lru: block %#x in recency snapshot exceeds %d bits", b, bits)
+		}
+		if !t.Record(b) {
+			return nil, fmt.Errorf("lru: duplicate block %#x in recency snapshot", b)
 		}
 	}
 	return t, nil
 }
 
 // Len returns the number of live (ever-touched) blocks.
-func (t *DistanceTree) Len() int { return len(t.byBlk) }
+func (t *DistanceTree) Len() int { return t.live }
 
 // Contains reports whether block has been touched before.
 func (t *DistanceTree) Contains(block uint64) bool {
+	if t.dense != nil {
+		return block < uint64(len(t.dense)) && t.dense[block] != 0
+	}
 	_, ok := t.byBlk[block]
 	return ok
 }
@@ -100,9 +130,18 @@ func (t *DistanceTree) begin(block uint64) (old uint64, ok bool) {
 	if t.clock+1 >= uint64(len(t.fen)) {
 		t.compact()
 	}
-	old, ok = t.byBlk[block]
 	t.clock++
-	t.byBlk[block] = t.clock
+	if t.dense != nil {
+		old = uint64(t.dense[block])
+		ok = old != 0
+		t.dense[block] = uint32(t.clock)
+	} else {
+		old, ok = t.byBlk[block]
+		t.byBlk[block] = t.clock
+	}
+	if !ok {
+		t.live++
+	}
 	t.slots[t.clock] = block
 	return old, ok
 }
@@ -118,7 +157,7 @@ func (t *DistanceTree) Touch(block uint64) int {
 	}
 	// Every live block owns exactly one set slot and block's is still
 	// at old, so the blocks accessed since are the live ones beyond it.
-	d := len(t.byBlk) - t.prefix(old)
+	d := t.live - t.prefix(old)
 	t.add(old, -1)
 	t.add(t.clock, 1)
 	return d
@@ -138,7 +177,7 @@ func (t *DistanceTree) TouchGate(block uint64, limit int) Gate {
 	}
 	within := t.clock-old-1 <= uint64(limit)
 	if !within {
-		within = len(t.byBlk)-t.prefix(old) <= limit
+		within = t.live-t.prefix(old) <= limit
 	}
 	t.add(old, -1)
 	t.add(t.clock, 1)
@@ -164,7 +203,7 @@ func (t *DistanceTree) Record(block uint64) (cold bool) {
 // recent first: the LRU stack the tree encodes, top to bottom.
 func (t *DistanceTree) Recency() []uint64 {
 	set := pointValues(append([]int32(nil), t.fen[:t.clock+1]...))
-	out := make([]uint64, 0, len(t.byBlk))
+	out := make([]uint64, 0, t.live)
 	for i := t.clock; i > 0; i-- {
 		if set[i] != 0 {
 			out = append(out, t.slots[i])
@@ -197,8 +236,13 @@ func (t *DistanceTree) compact() {
 	for i := uint64(1); i <= t.clock; i++ {
 		if set[i] != 0 {
 			u++
-			t.slots[u] = t.slots[i]
-			t.byBlk[t.slots[u]] = u
+			b := t.slots[i]
+			t.slots[u] = b
+			if t.dense != nil {
+				t.dense[b] = uint32(u)
+			} else {
+				t.byBlk[b] = u
+			}
 		}
 	}
 	size := minTreeSlots
@@ -230,7 +274,7 @@ func (t *DistanceTree) compact() {
 // access misses iff it is a first touch or its stack distance is >=
 // capacity. This is the paper's "FA" reference column (Table 3).
 func FAMisses(blocks []uint64, capacity int) uint64 {
-	t := NewDistanceTree()
+	t := NewDistanceTree(64)
 	var misses uint64
 	for _, b := range blocks {
 		d := t.Touch(b)
@@ -286,7 +330,7 @@ func (h *Histogram) MissesAt(capacity int) uint64 {
 // ReuseHistogram runs a full trace through a DistanceTree and returns
 // the stack-distance histogram with the given resolution.
 func ReuseHistogram(blocks []uint64, maxDistance int) *Histogram {
-	t := NewDistanceTree()
+	t := NewDistanceTree(64)
 	h := NewHistogram(maxDistance)
 	for _, b := range blocks {
 		h.Add(t.Touch(b))

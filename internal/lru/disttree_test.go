@@ -11,7 +11,7 @@ import (
 func TestDistanceTreeMatchesStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewStack()
-	d := NewDistanceTree()
+	d := NewDistanceTree(64)
 	for i := 0; i < 20000; i++ {
 		b := uint64(rng.Intn(300))
 		want := touch(s, b)
@@ -26,7 +26,7 @@ func TestDistanceTreeMatchesStack(t *testing.T) {
 }
 
 func TestDistanceTreeSequential(t *testing.T) {
-	d := NewDistanceTree()
+	d := NewDistanceTree(64)
 	// First pass over 100 blocks: all cold.
 	for b := uint64(0); b < 100; b++ {
 		if got := d.Touch(b); got != -1 {
@@ -49,7 +49,7 @@ func TestDistanceTreeProperty(t *testing.T) {
 			blocks[i] = uint64(r % 17)
 		}
 		want := referenceDistances(blocks)
-		d := NewDistanceTree()
+		d := NewDistanceTree(64)
 		for i, b := range blocks {
 			if d.Touch(b) != want[i] {
 				return false
@@ -132,7 +132,7 @@ func BenchmarkDistanceTreeTouch(b *testing.B) {
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(1 << 14))
 	}
-	d := NewDistanceTree()
+	d := NewDistanceTree(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Touch(blocks[i&(len(blocks)-1)])
@@ -143,7 +143,7 @@ func BenchmarkDistanceTreeTouch(b *testing.B) {
 // block has been touched, an access is two Fenwick point updates and a
 // prefix query over preallocated storage, so it allocates nothing.
 func TestTouchSteadyStateAllocs(t *testing.T) {
-	d := NewDistanceTree()
+	d := NewDistanceTree(64)
 	for b := uint64(0); b < 64; b++ {
 		d.Touch(b)
 	}
@@ -174,7 +174,7 @@ func TestDistanceTreeRecencyMatchesStack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			s := NewStack()
-			d := NewDistanceTree()
+			d := NewDistanceTree(64)
 			fresh := uint64(1 << 20)
 			compactions := 0
 			for i := 0; i < 150000; i++ {
@@ -205,7 +205,7 @@ func TestDistanceTreeRecencyMatchesStack(t *testing.T) {
 			if tc.grow && len(d.fen) <= minTreeSlots {
 				t.Fatalf("array never grew (%d slots)", len(d.fen))
 			}
-			restored, err := NewDistanceTreeFrom(d.Recency())
+			restored, err := NewDistanceTreeFrom(64, d.Recency())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,5 +213,78 @@ func TestDistanceTreeRecencyMatchesStack(t *testing.T) {
 				t.Fatal("NewDistanceTreeFrom does not round-trip the listing")
 			}
 		})
+	}
+}
+
+// TestDistanceTreeDenseMatchesMap drives a flat-indexed tree and a
+// map-indexed one with the same operations: Touch, TouchGate at several
+// limits, Record, Contains, Len and Recency must agree through many
+// compactions, including ones that resize the arrays.
+func TestDistanceTreeDenseMatchesMap(t *testing.T) {
+	const bits = 12
+	rng := rand.New(rand.NewSource(17))
+	dense, wide := NewDistanceTree(bits), NewDistanceTree(64)
+	if dense.dense == nil || wide.dense != nil {
+		t.Fatal("width does not select the recency index")
+	}
+	limits := []int{0, 1, 5, 64, 1000}
+	compactions, resizes := 0, 0
+	for i := 0; i < 200000; i++ {
+		// The universe widens in phases so compaction both renumbers in
+		// place and grows the arrays.
+		universe := 64 << min(i/40000, 6)
+		b := uint64(rng.Intn(universe))
+		before, size := dense.clock, len(dense.fen)
+		switch op := rng.Intn(4); op {
+		case 0:
+			if got, want := dense.Touch(b), wide.Touch(b); got != want {
+				t.Fatalf("access %d: Touch(%d) dense %d, map %d", i, b, got, want)
+			}
+		case 1:
+			lim := limits[rng.Intn(len(limits))]
+			if got, want := dense.TouchGate(b, lim), wide.TouchGate(b, lim); got != want {
+				t.Fatalf("access %d: TouchGate(%d, %d) dense %d, map %d", i, b, lim, got, want)
+			}
+		case 2:
+			if got, want := dense.Record(b), wide.Record(b); got != want {
+				t.Fatalf("access %d: Record(%d) dense %v, map %v", i, b, got, want)
+			}
+		default:
+			if got, want := dense.Contains(b), wide.Contains(b); got != want {
+				t.Fatalf("access %d: Contains(%d) dense %v, map %v", i, b, got, want)
+			}
+		}
+		if dense.clock < before {
+			compactions++
+		}
+		if len(dense.fen) != size {
+			resizes++
+		}
+		if dense.Len() != wide.Len() {
+			t.Fatalf("access %d: Len dense %d, map %d", i, dense.Len(), wide.Len())
+		}
+		if i%10000 == 0 && !slices.Equal(dense.Recency(), wide.Recency()) {
+			t.Fatalf("access %d: recency listings differ", i)
+		}
+	}
+	if compactions < 5 || resizes < 1 {
+		t.Fatalf("%d compactions, %d resizes; the test must exercise both", compactions, resizes)
+	}
+	if dense.Contains(1 << bits) {
+		t.Fatal("a block beyond the width is reported present")
+	}
+	listing := wide.Recency()
+	restored, err := NewDistanceTreeFrom(bits, listing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(restored.Recency(), listing) || restored.Len() != wide.Len() {
+		t.Fatal("dense NewDistanceTreeFrom does not round-trip the listing")
+	}
+	if _, err := NewDistanceTreeFrom(bits, append([]uint64{listing[3]}, listing...)); err == nil {
+		t.Fatal("duplicated recency listing accepted")
+	}
+	if _, err := NewDistanceTreeFrom(bits, []uint64{1, 1 << bits}); err == nil {
+		t.Fatal("block beyond the width accepted")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Example_stackDistance computes reuse distances, the quantity the
 // paper's capacity filter is built on.
 func Example_stackDistance() {
-	d := lru.NewDistanceTree()
+	d := lru.NewDistanceTree(64)
 	for _, b := range []uint64{1, 2, 3, 1, 1, 3} {
 		fmt.Print(d.Touch(b), " ")
 	}

@@ -12,7 +12,9 @@
 //     Olken's order-statistics approach over a Fenwick tree, giving
 //     exact reuse distances in O(log u) per access (u live blocks),
 //     classifies each access against the capacity filter (TouchGate)
-//     and lists the full LRU order on demand (Recency).
+//     and lists the full LRU order on demand (Recency). Its block→time
+//     index is a flat array for blocks of up to 24 bits and a map for
+//     wider ones.
 //   - Window holds only the top limit+1 entries, most recent first, in
 //     one contiguous slice: every block a conflict walk can reach, with
 //     no membership map and no pointer chasing.

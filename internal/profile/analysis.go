@@ -52,7 +52,7 @@ func AnalyzeConflicts(blocks []uint64, n, cacheBlocks, topVectors, topPairs int)
 	pairs := make(map[[2]uint64]uint64)
 	mask := uint64(gf2.Mask(n))
 	win := lru.NewWindow(cacheBlocks)
-	tree := lru.NewDistanceTree()
+	tree := lru.NewDistanceTree(p.recencyBits())
 	for _, raw := range blocks {
 		b := raw & mask
 		if tree.TouchGate(b, cacheBlocks) != lru.GateWithin {

@@ -154,14 +154,21 @@ func (o Options) sparse(n int) bool {
 	return o.ForceSparse || n > MaxFlatBits
 }
 
+// newProfile returns an empty profile on the histogram backend the
+// options select; a sketch's options must be valid (Build validates
+// them up front).
+func (o Options) newProfile(n, cacheBlocks int) *Profile {
+	if o.Sketch != nil {
+		return &Profile{N: n, CacheBlocks: cacheBlocks, Sketch: NewSketch(o.Sketch.withDefaults())}
+	}
+	return newProfile(n, cacheBlocks, o.sparse(n))
+}
+
 // newBuilder constructs a cold builder with the histogram backend the
 // options select. Sampling is armed separately by the sequential
 // engine — shard builders never sample.
 func (o Options) newBuilder(n, cacheBlocks int) *Builder {
-	if o.Sketch != nil {
-		return newSketchBuilder(n, cacheBlocks, o.Sketch.withDefaults())
-	}
-	return newBuilder(n, cacheBlocks, o.sparse(n))
+	return builderFor(o.newProfile(n, cacheBlocks))
 }
 
 // BlockSource yields successive chunks of block addresses already

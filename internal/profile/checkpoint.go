@@ -156,8 +156,7 @@ func Restore(r io.Reader) (*Builder, error) {
 	if uint64(len(payload)) < supportLen {
 		return nil, fmt.Errorf("profile: snapshot support length %d implausible: %w", supportLen, xerr.ErrFormat)
 	}
-	bd := newBuilder(n, cacheBlocks, sparse)
-	p := bd.p
+	p := newProfile(n, cacheBlocks, sparse)
 	var vec, sum uint64
 	for i := uint64(0); i < supportLen; i++ {
 		dv := d.uvarint("vector delta")
@@ -192,7 +191,8 @@ func Restore(r io.Reader) (*Builder, error) {
 		return nil, fmt.Errorf("profile: snapshot histogram sums to %d pairs, counter says %d: %w",
 			sum, totalPairs, xerr.ErrFormat)
 	}
-	if err := bd.restoreRecency(stack); err != nil {
+	bd, err := restoredBuilder(p, stack)
+	if err != nil {
 		return nil, fmt.Errorf("profile: snapshot stack: %w: %w", xerr.ErrFormat, err)
 	}
 	p.Accesses = accesses
@@ -203,19 +203,18 @@ func Restore(r io.Reader) (*Builder, error) {
 	return bd, nil
 }
 
-// restoreRecency rebuilds the distance gate and the walk window from a
-// snapshot's top-to-bottom stack listing. The tree's internal clock
-// differs from an uninterrupted run's, but reuse distances depend only
-// on relative recency, so the resumed pass classifies every access
-// bit-identically (the kill/resume differential tests prove it).
-func (bd *Builder) restoreRecency(stack []uint64) error {
-	tree, err := lru.NewDistanceTreeFrom(stack)
+// restoredBuilder resumes a builder accumulating into p, rebuilding
+// the distance gate and the walk window from a snapshot's
+// top-to-bottom stack listing. The tree's internal clock differs from
+// an uninterrupted run's, but reuse distances depend only on relative
+// recency, so the resumed pass classifies every access bit-identically
+// (the kill/resume differential tests prove it).
+func restoredBuilder(p *Profile, stack []uint64) (*Builder, error) {
+	tree, err := lru.NewDistanceTreeFrom(p.recencyBits(), stack)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bd.tree = tree
-	bd.win = lru.NewWindowFrom(bd.p.CacheBlocks, stack)
-	return nil
+	return &Builder{p: p, mask: uint64(gf2.Mask(p.N)), win: lru.NewWindowFrom(p.CacheBlocks, stack), tree: tree}, nil
 }
 
 // payloadReader decodes snapshot payload primitives, latching the

@@ -329,7 +329,7 @@ type reconciler struct {
 
 func newReconciler(n, cacheBlocks int, opt Options) *reconciler {
 	return &reconciler{
-		out:    opt.newBuilder(n, cacheBlocks).Finish(),
+		out:    opt.newProfile(n, cacheBlocks),
 		bound:  lru.NewStack(),
 		prefix: make(map[uint64]struct{}),
 	}

@@ -160,18 +160,39 @@ func ValidateGeometry(n, cacheBlocks int) error {
 }
 
 func newBuilder(n, cacheBlocks int, sparse bool) *Builder {
+	return builderFor(newProfile(n, cacheBlocks, sparse))
+}
+
+// newProfile returns an empty profile on the flat or the sparse backend.
+func newProfile(n, cacheBlocks int, sparse bool) *Profile {
 	p := &Profile{N: n, CacheBlocks: cacheBlocks}
 	if sparse {
 		p.Sparse = make(map[uint64]uint64)
 	} else {
 		p.Table = make([]uint64, 1<<uint(n))
 	}
+	return p
+}
+
+// builderFor starts a cold builder accumulating into the empty profile p.
+func builderFor(p *Profile) *Builder {
 	return &Builder{
 		p:    p,
-		mask: uint64(gf2.Mask(n)),
-		win:  lru.NewWindow(cacheBlocks),
-		tree: lru.NewDistanceTree(),
+		mask: uint64(gf2.Mask(p.N)),
+		win:  lru.NewWindow(p.CacheBlocks),
+		tree: lru.NewDistanceTree(p.recencyBits()),
 	}
+}
+
+// recencyBits is the block width a distance tree over this profile's
+// pass is built for: a flat profile's n, whose 2^n-entry recency index
+// costs half its histogram, and the full 64 bits (a map index) for the
+// sparse and sketch backends, which exist to avoid 2^n-sized state.
+func (p *Profile) recencyBits() int {
+	if p.Table != nil {
+		return p.N
+	}
+	return MaxBits
 }
 
 // Add records one block access (truncated to n bits internally).

@@ -340,35 +340,19 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	w, err := newWindowed(n, cacheBlocks, decay, sparse)
-	if err != nil {
-		return nil, err
-	}
-	w.rotations = rotations
-	w.total = total
+	win := newProfile(n, cacheBlocks, sparse)
+	w := &Windowed{agg: emptyLike(win), decay: decay, rotations: rotations, total: total}
 	if sampleK > 1 {
-		w.bd.setSampling(SampleOptions{K: sampleK, Seed: sampleSeed})
 		w.agg.SampleK = sampleK
 		w.agg.SampleSeed = sampleSeed
-		// The gate resumes mid-stream: restore its candidate ordinal and
-		// recompute the next trigger — the smallest ordinal past it that
-		// is congruent to the seed-derived phase mod K.
-		w.bd.sampleCount = sampleCount
-		phase := splitmix64(sampleSeed)%sampleK + 1
-		next := phase
-		if sampleCount >= phase {
-			next = phase + ((sampleCount-phase)/sampleK+1)*sampleK
-		}
-		w.bd.sampleNext = next
 	}
 	mask := uint64(gf2.Mask(n))
 	if err := readProfileBody(d, w.agg, mask, sampled, "aggregate"); err != nil {
 		return nil, err
 	}
-	if err := readProfileBody(d, w.bd.p, mask, sampled, "window"); err != nil {
+	if err := readProfileBody(d, win, mask, sampled, "window"); err != nil {
 		return nil, err
 	}
-	win := w.bd.p
 	if win.Compulsory+win.Capacity+win.Candidates != win.Accesses {
 		return nil, fmt.Errorf("profile: windowed snapshot window counters disagree (%d+%d+%d != %d accesses): %w",
 			win.Compulsory, win.Capacity, win.Candidates, win.Accesses, xerr.ErrFormat)
@@ -401,8 +385,21 @@ func RestoreWindowed(r io.Reader) (*Windowed, error) {
 	if d.rem() != 0 {
 		return nil, fmt.Errorf("profile: %d trailing bytes after windowed snapshot payload: %w", d.rem(), xerr.ErrFormat)
 	}
-	if err := w.bd.restoreRecency(stack); err != nil {
+	if w.bd, err = restoredBuilder(win, stack); err != nil {
 		return nil, fmt.Errorf("profile: windowed snapshot stack: %w: %w", xerr.ErrFormat, err)
+	}
+	if sampleK > 1 {
+		w.bd.setSampling(SampleOptions{K: sampleK, Seed: sampleSeed})
+		// The gate resumes mid-stream: restore its candidate ordinal and
+		// recompute the next trigger — the smallest ordinal past it that
+		// is congruent to the seed-derived phase mod K.
+		w.bd.sampleCount = sampleCount
+		phase := splitmix64(sampleSeed)%sampleK + 1
+		next := phase
+		if sampleCount >= phase {
+			next = phase + ((sampleCount-phase)/sampleK+1)*sampleK
+		}
+		w.bd.sampleNext = next
 	}
 	return w, nil
 }
